@@ -7,14 +7,14 @@
 //! * `ELECTRIFI_SCALE` — `quick` shrinks durations for smoke runs
 //!   (read by `electrifi-bench::scale_from_env`);
 //! * `ELECTRIFI_THREADS` — sweep worker count, a **positive integer**.
-//!   Parsing is validated (see [`threads_from_env`], re-exported from
-//!   `electrifi_testbed::sweep`): `0` and non-numeric values are
-//!   rejected with a clear message instead of silently changing the
-//!   parallelism. `1` forces sequential sweeps; unset uses all cores.
+//!   Parsing is validated (see `simnet::threads::worker_count_from_env`):
+//!   `0` and non-numeric values are rejected with a clear message
+//!   instead of silently changing the parallelism. `1` forces
+//!   sequential sweeps; unset uses all cores.
 
 use electrifi_testbed::{PlcNetwork, StationId, Testbed};
 
-pub use electrifi_testbed::sweep::{parse_threads, threads_from_env, THREADS_ENV};
+pub use electrifi_testbed::sweep::THREADS_ENV;
 use plc_phy::channel::{LinkDir, PlcChannel, PlcChannelParams};
 use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;

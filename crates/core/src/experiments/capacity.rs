@@ -193,35 +193,50 @@ pub struct Fig17Result {
 /// Run Fig. 17: probe at 20 pkt/s, pause for ~7 minutes, resume; the
 /// estimate must persist.
 pub fn fig17(env: &PaperEnv, scale: Scale) -> Fig17Result {
+    let (_, pause_at, resume_at, _) = fig17_schedule(scale);
+    // Each link is an independently seeded simulation: one sweep item.
+    let links = electrifi_testbed::sweep::par_map(&FIG17_LINKS, |_, &(a, b)| {
+        ((a, b), fig17_link(env, a, b, scale))
+    });
+    Fig17Result {
+        links,
+        pause_at,
+        resume_at,
+    }
+}
+
+/// The links Fig. 17 probes.
+const FIG17_LINKS: [(StationId, StationId); 4] = [(1, 0), (1, 6), (1, 10), (1, 5)];
+
+/// Fig. 17's timeline: `(start, pause_at, resume_at, end)`.
+fn fig17_schedule(scale: Scale) -> (Time, Time, Time, Time) {
     let before = scale.dur(Duration::from_secs(2_300), 100);
     let pause = scale.dur(Duration::from_secs(420), 100);
     let after = scale.dur(Duration::from_secs(2_000), 100);
     let start = Time::from_hours(1);
     let pause_at = start + before;
     let resume_at = pause_at + pause;
-    let mut links = Vec::new();
-    for (a, b) in [(1u16, 0u16), (1, 6), (1, 10), (1, 5)] {
-        let seed = 0xF17 ^ ((a as u64) << 16) ^ b as u64;
-        let mut sim = LinkProbeSim::new(
-            env.plc_channel(a, b),
-            PaperEnv::dir(a, b),
-            env.estimator,
-            seed,
-        );
-        sim.reset();
-        let mut series = probe_at_rate(&mut sim, start, before, 20, 1300);
-        // Pause: nothing sent. Resume.
-        let resumed = probe_at_rate(&mut sim, resume_at, after, 20, 1300);
-        for &(t, v) in resumed.points() {
-            series.push(t, v);
-        }
-        links.push(((a, b), series));
+    (start, pause_at, resume_at, resume_at + after)
+}
+
+/// One Fig. 17 link: probe at 20 pkt/s until the pause, send nothing,
+/// resume; the estimate series across both probing stretches.
+fn fig17_link(env: &PaperEnv, a: StationId, b: StationId, scale: Scale) -> Series {
+    let (start, pause_at, resume_at, end) = fig17_schedule(scale);
+    let seed = 0xF17 ^ ((a as u64) << 16) ^ b as u64;
+    let mut sim = LinkProbeSim::new(
+        env.plc_channel(a, b),
+        PaperEnv::dir(a, b),
+        env.estimator,
+        seed,
+    );
+    sim.reset();
+    let mut series = probe_at_rate(&mut sim, start, pause_at - start, 20, 1300);
+    let resumed = probe_at_rate(&mut sim, resume_at, end - resume_at, 20, 1300);
+    for &(t, v) in resumed.points() {
+        series.push(t, v);
     }
-    Fig17Result {
-        links,
-        pause_at,
-        resume_at,
-    }
+    series
 }
 
 /// Fig. 18 output: probe-size traces at 1 packet per second.
@@ -237,27 +252,33 @@ pub struct Fig18Result {
 
 /// Run Fig. 18 on a good link (paper: 11-6) with sizes 200/520/521/1300 B.
 pub fn fig18(env: &PaperEnv, scale: Scale) -> Fig18Result {
-    let duration = scale.dur(Duration::from_secs(10_000), 200);
-    let (a, b) = (11u16, 6u16);
-    let mut sizes = Vec::new();
-    // (label as the paper quotes it — wire bytes incl. PB header, payload
-    // handed to the MAC).
-    for (label, payload) in [(200u32, 200u32), (520, 512), (521, 513), (1300, 1300)] {
-        let seed = 0xF18 ^ label as u64;
-        let mut sim = LinkProbeSim::new(
-            env.plc_channel(a, b),
-            PaperEnv::dir(a, b),
-            env.estimator,
-            seed,
-        );
-        sim.reset();
-        let series = probe_at_rate(&mut sim, Time::from_hours(1), duration, 1, payload);
-        sizes.push((label, series));
-    }
+    let sizes = electrifi_testbed::sweep::par_map(&FIG18_SIZES, |_, &(label, payload)| {
+        (label, fig18_size(env, label, payload, scale))
+    });
     Fig18Result {
         sizes,
         r1sym: LinkProbeSim::r1sym_mbps(),
     }
+}
+
+/// Fig. 18's probe sizes: (label as the paper quotes it — wire bytes
+/// incl. PB header, payload handed to the MAC).
+const FIG18_SIZES: [(u32, u32); 4] = [(200, 200), (520, 512), (521, 513), (1300, 1300)];
+
+/// One Fig. 18 probe size: reset the good link, then probe it at one
+/// `payload`-byte packet per second.
+fn fig18_size(env: &PaperEnv, label: u32, payload: u32, scale: Scale) -> Series {
+    let duration = scale.dur(Duration::from_secs(10_000), 200);
+    let (a, b) = (11u16, 6u16);
+    let seed = 0xF18 ^ label as u64;
+    let mut sim = LinkProbeSim::new(
+        env.plc_channel(a, b),
+        PaperEnv::dir(a, b),
+        env.estimator,
+        seed,
+    );
+    sim.reset();
+    probe_at_rate(&mut sim, Time::from_hours(1), duration, 1, payload)
 }
 
 /// Fig. 19 output: estimation-error evaluations for the three probing
@@ -278,20 +299,23 @@ pub struct Fig19Result {
 /// Run Fig. 19: replay §6.2-style 50 ms BLE traces of the testbed links
 /// under the three probing policies.
 pub fn fig19(env: &PaperEnv, scale: Scale) -> Fig19Result {
-    use crate::experiments::temporal::cycle_trace;
-    let duration = scale.dur(Duration::from_secs(240), 24);
     let mut pairs = env.plc_pairs();
     pairs.truncate(scale.take(pairs.len(), 10));
-    let mut traces = Vec::new();
-    for (a, b) in pairs {
-        let t = cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration);
-        if t.ble.stats().mean() > 5.0 {
-            traces.push(t.ble);
-        }
-    }
-    let adaptive = evaluate_policy(ProbingPolicy::paper_adaptive(), &traces);
-    let every_5s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(5)), &traces);
-    let every_80s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(80)), &traces);
+    // Flattening the per-pair options in pair order keeps the filtered
+    // traces in the order a serial loop would push them.
+    let traces: Vec<Series> =
+        electrifi_testbed::sweep::par_map(&pairs, |_, &(a, b)| fig19_trace(env, a, b, scale))
+            .into_iter()
+            .flatten()
+            .collect();
+    fig19_evaluate(&traces)
+}
+
+/// Fig. 19's three probing policies evaluated over the link traces.
+fn fig19_evaluate(traces: &[Series]) -> Fig19Result {
+    let adaptive = evaluate_policy(ProbingPolicy::paper_adaptive(), traces);
+    let every_5s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(5)), traces);
+    let every_80s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(80)), traces);
     let overhead_reduction = adaptive.overhead_reduction_vs(&every_5s);
     Fig19Result {
         adaptive,
@@ -301,10 +325,19 @@ pub fn fig19(env: &PaperEnv, scale: Scale) -> Fig19Result {
     }
 }
 
+/// One Fig. 19 link: its §6.2-style BLE trace, or `None` when the link's
+/// mean BLE is too low (≤ 5 Mb/s) to be worth probing.
+fn fig19_trace(env: &PaperEnv, a: StationId, b: StationId, scale: Scale) -> Option<Series> {
+    use crate::experiments::temporal::cycle_trace;
+    let duration = scale.dur(Duration::from_secs(240), 24);
+    let t = cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration);
+    (t.ble.stats().mean() > 5.0).then_some(t.ble)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PAPER_SEED;
+    use crate::experiments::{json, PAPER_SEED};
 
     #[test]
     fn fig15_fit_matches_the_papers_slope_range() {
@@ -365,6 +398,51 @@ mod tests {
                 "link {a}-{b}: estimate dropped across pause ({last_before} -> {first_after})"
             );
         }
+    }
+
+    // The swept figures equal the in-order serial map of their per-item
+    // functions, whatever worker count the host gives the sweep.
+
+    #[test]
+    fn fig17_sweep_equals_the_serial_link_loop() {
+        let env = PaperEnv::new(PAPER_SEED);
+        let (_, pause_at, resume_at, _) = fig17_schedule(Scale::Quick);
+        let serial = Fig17Result {
+            links: FIG17_LINKS
+                .iter()
+                .map(|&(a, b)| ((a, b), fig17_link(&env, a, b, Scale::Quick)))
+                .collect(),
+            pause_at,
+            resume_at,
+        };
+        assert_eq!(json(&fig17(&env, Scale::Quick)), json(&serial));
+    }
+
+    #[test]
+    fn fig18_sweep_equals_the_serial_size_loop() {
+        let env = PaperEnv::new(PAPER_SEED);
+        let serial = Fig18Result {
+            sizes: FIG18_SIZES
+                .iter()
+                .map(|&(label, payload)| (label, fig18_size(&env, label, payload, Scale::Quick)))
+                .collect(),
+            r1sym: LinkProbeSim::r1sym_mbps(),
+        };
+        assert_eq!(json(&fig18(&env, Scale::Quick)), json(&serial));
+    }
+
+    #[test]
+    fn fig19_sweep_equals_the_serial_pair_loop() {
+        let env = PaperEnv::new(PAPER_SEED);
+        let mut pairs = env.plc_pairs();
+        pairs.truncate(Scale::Quick.take(pairs.len(), 10));
+        let traces: Vec<Series> = pairs
+            .iter()
+            .filter_map(|&(a, b)| fig19_trace(&env, a, b, Scale::Quick))
+            .collect();
+        assert!(!traces.is_empty());
+        let serial = fig19_evaluate(&traces);
+        assert_eq!(json(&fig19(&env, Scale::Quick)), json(&serial));
     }
 
     #[test]

@@ -48,3 +48,10 @@ impl Scale {
 
 /// Canonical seed used by the reproduction binaries.
 pub const PAPER_SEED: u64 = 2015;
+
+/// A result's serialised form: two results are equal field by field,
+/// floats bit for bit, when these strings are.
+#[cfg(test)]
+fn json<T: Serialize>(v: &T) -> String {
+    serde_json::to_string(v).expect("results serialise")
+}

@@ -85,6 +85,14 @@ pub struct LinkProbeSim {
     /// moves on the cycle scale (~1 s), so caching is lossless in
     /// practice and makes week-long traces affordable.
     spec_cache: Vec<Option<(Time, SnrSpectrum)>>,
+    /// Per-slot memo of `pb_error_prob(sender_map(slot), spectrum)`, a
+    /// pure function of the slot's spectrum buffer and the sender's tone
+    /// map. A slot's entry is cleared when its spectrum refreshes; all
+    /// entries are cleared when the tone maps change (regeneration,
+    /// reset, state load). Derived state: never persisted.
+    pberr_memo: [Option<f64>; TONEMAP_SLOTS],
+    /// PB error probabilities computed (memo misses) since construction.
+    pberr_evals: u64,
     /// Prebuilt ROBO map for this carrier count, so pre-regen sends don't
     /// rebuild one per frame.
     robo: ToneMap,
@@ -106,6 +114,8 @@ impl LinkProbeSim {
             window: (0, 0),
             cumulative: (0, 0),
             spec_cache: vec![None; TONEMAP_SLOTS],
+            pberr_memo: [None; TONEMAP_SLOTS],
+            pberr_evals: 0,
             robo: ToneMap::robo(n),
             metrics: ProbeMetrics::register(simnet::obs::current().registry()),
         }
@@ -125,6 +135,7 @@ impl LinkProbeSim {
             *at = t;
             self.channel
                 .spectrum_at_phase_into(self.dir, t, phase, spec);
+            self.pberr_memo[slot] = None;
         } else {
             self.metrics.spec_hits.inc();
         }
@@ -149,6 +160,34 @@ impl LinkProbeSim {
         for entry in &mut self.spec_cache {
             *entry = None;
         }
+        self.clear_pberr_memo();
+    }
+
+    /// Forget every memoised PB error probability, so the next frame in
+    /// each slot recomputes it. Outputs do not change: the memo only
+    /// ever holds the value a recomputation would give.
+    pub fn clear_pberr_memo(&mut self) {
+        self.pberr_memo = [None; TONEMAP_SLOTS];
+    }
+
+    /// PB error probabilities this link has computed since construction,
+    /// i.e. memo misses (a diagnostic; not persisted).
+    pub fn pberr_evals(&self) -> u64 {
+        self.pberr_evals
+    }
+
+    /// The PB error probability of a frame in `slot` under the sender's
+    /// current tone map and the slot's cached spectrum (which must be
+    /// fresh), from the memo when it holds one.
+    fn pberr(&mut self, slot: usize) -> f64 {
+        if let Some(p) = self.pberr_memo[slot] {
+            return p;
+        }
+        let spec = &self.spec_cache[slot].as_ref().expect("just refreshed").1;
+        let p = pb_error_prob(self.sender_map(slot), spec);
+        self.pberr_memo[slot] = Some(p);
+        self.pberr_evals += 1;
+        p
     }
 
     /// Average BLE over the six slots — the `int6krate` reading.
@@ -188,6 +227,7 @@ impl LinkProbeSim {
     pub fn frame(&mut self, t: Time, payload_bytes: u32) -> FrameOutcome {
         let slot = t.tonemap_slot(TONEMAP_SLOTS);
         self.ensure_spectrum(slot, t);
+        let pberr = self.pberr(slot);
         let pbs = plc_mac::pb::pbs_for_packet(payload_bytes);
         let bits = pbs as u64 * PB_BITS;
         // Shared borrows of the slot cache and the tone map end before the
@@ -197,7 +237,6 @@ impl LinkProbeSim {
         let map = self.sender_map(slot);
         let ble_mbps = map.ble();
         let n_symbols = map.symbols_for_bits(bits).clamp(1, 1_000);
-        let pberr = pb_error_prob(map, spec);
         let mut pb_errors = 0u32;
         for _ in 0..pbs {
             if Distributions::bernoulli(&mut self.rng, pberr) {
@@ -217,6 +256,7 @@ impl LinkProbeSim {
         let regenerated = self.est.maybe_regenerate(t, recent);
         if regenerated {
             self.window = (0, 0);
+            self.clear_pberr_memo();
             self.metrics.regens.inc();
         }
         self.metrics.frames.inc();
@@ -273,9 +313,7 @@ impl LinkProbeSim {
     pub fn throughput_now(&mut self, t: Time) -> f64 {
         let slot = t.tonemap_slot(TONEMAP_SLOTS);
         self.ensure_spectrum(slot, t);
-        let spec = &self.spec_cache[slot].as_ref().expect("just refreshed").1;
-        let map = self.sender_map(slot);
-        let pberr = pb_error_prob(map, spec);
+        let pberr = self.pberr(slot);
         plc_mac::saturation_throughput_mbps(self.est.ble_avg(), pberr, 1)
     }
 
@@ -319,7 +357,9 @@ impl LinkProbeSim {
 /// construction inputs. Persisted are the estimator's sufficient
 /// statistics, the RNG position, the PB windows and the *timestamps* of
 /// the per-slot spectrum cache; the spectrum buffers themselves are pure
-/// in (channel, time, slot phase) and recomputed on load.
+/// in (channel, time, slot phase) and recomputed on load. The PB-error
+/// memo is derived from those buffers and the tone maps, so it is not
+/// saved and a load clears it.
 impl electrifi_state::Persist for LinkProbeSim {
     fn save_state(&self, w: &mut electrifi_state::SectionWriter) {
         self.est.save_state(w);
@@ -356,6 +396,7 @@ impl electrifi_state::Persist for LinkProbeSim {
                 (t, spec)
             });
         }
+        self.clear_pberr_memo();
         Ok(())
     }
 }
@@ -401,6 +442,108 @@ mod tests {
         }
         assert_eq!(straight.ble_avg().to_bits(), resumed.ble_avg().to_bits());
         assert_eq!(straight.cumulative, resumed.cumulative);
+    }
+
+    /// `pb_error_prob` for a frame at `t`, from scratch: the sender's
+    /// current map and a spectrum rebuilt from the channel at the slot's
+    /// cache time. Refreshing the slot first changes no output: the frame
+    /// at `t` would refresh it the same way.
+    fn scratch_pberr(l: &mut LinkProbeSim, t: Time) -> f64 {
+        let slot = t.tonemap_slot(TONEMAP_SLOTS);
+        l.ensure_spectrum(slot, t);
+        let at = l.spec_cache[slot].as_ref().expect("refreshed").0;
+        let phase = (slot as f64 + 0.5) / TONEMAP_SLOTS as f64;
+        let mut fresh = SnrSpectrum::empty();
+        l.channel
+            .spectrum_at_phase_into(l.dir, at, phase, &mut fresh);
+        pb_error_prob(l.sender_map(slot), &fresh)
+    }
+
+    /// Push `n` frames of `bytes` at `gap` spacing from `start` through
+    /// every link in `links` (in lockstep), asserting each outcome's
+    /// pberr is bitwise the from-scratch value and that the links agree.
+    /// Returns the next frame time and the regenerations seen.
+    fn checked_frames(
+        links: &mut [&mut LinkProbeSim],
+        start: Time,
+        gap: Duration,
+        n: u64,
+        bytes: u32,
+    ) -> (Time, u64) {
+        let mut regens = 0;
+        let mut t = start;
+        for _ in 0..n {
+            let mut outcomes = Vec::new();
+            for l in links.iter_mut() {
+                let expected = scratch_pberr(l, t);
+                let o = l.frame(t, bytes);
+                assert_eq!(o.pberr.to_bits(), expected.to_bits(), "memo stale at {t:?}");
+                outcomes.push(o);
+            }
+            assert!(
+                outcomes.windows(2).all(|w| w[0] == w[1]),
+                "links diverged at {t:?}"
+            );
+            regens += u64::from(outcomes[0].regenerated);
+            t += gap;
+        }
+        (t, regens)
+    }
+
+    #[test]
+    fn memoised_pberr_is_bitwise_a_fresh_evaluation() {
+        use electrifi_state::{SnapshotReader, SnapshotWriter};
+        let mut l = link(1, 6);
+        let start = Time::from_hours(1);
+        // Warm-up shape (saturated, 20 ms apart), then Fig. 17 probing at
+        // 20 pkt/s for 70 s: spectra refresh every 100 ms, and the maps
+        // regenerate first from ROBO and then on every 30 s expiry.
+        let (t, warm_regens) =
+            checked_frames(&mut [&mut l], start, Duration::from_millis(20), 400, 24_000);
+        let (t, probe_regens) =
+            checked_frames(&mut [&mut l], t, Duration::from_millis(50), 1_400, 1300);
+        assert!(
+            warm_regens >= 1 && probe_regens >= 2,
+            "regenerations: warm-up {warm_regens}, probing {probe_regens}"
+        );
+        // A reset, then 7 ms spacing so that frames visit every slot.
+        l.reset();
+        let every_slot = Duration::from_millis(7);
+        let (t, _) = checked_frames(&mut [&mut l], t, every_slot, 1_000, 1300);
+        // A snapshot/resume cut, loaded into a link whose memo holds
+        // entries from frames of its own: the load must drop them, and
+        // the resumed link must agree with the straight one frame for
+        // frame. The first resumed frame repeats the instant of the last
+        // one before the cut, so its slot's spectrum is still fresh and
+        // only a memo entry could short-cut the evaluation.
+        let mut snap = SnapshotWriter::new();
+        snap.save("probe", &l);
+        let mut resumed = link(1, 6);
+        checked_frames(
+            &mut [&mut resumed],
+            Time::from_hours(5),
+            every_slot,
+            100,
+            1300,
+        );
+        SnapshotReader::from_bytes(&snap.to_bytes())
+            .unwrap()
+            .load("probe", &mut resumed)
+            .unwrap();
+        checked_frames(
+            &mut [&mut l, &mut resumed],
+            t - every_slot,
+            every_slot,
+            2_000,
+            1300,
+        );
+        // The memo did serve repeats, or this test proves nothing.
+        let frames = 400 + 1_400 + 1_000 + 2_000;
+        assert!(
+            l.pberr_evals() < frames * 3 / 4,
+            "evals={}",
+            l.pberr_evals()
+        );
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! * items are split into contiguous chunks and results are collected in
 //!   item-index order, so the output `Vec` is byte-identical to a
 //!   sequential run;
-//! * each worker thread runs under its own fresh [`Obs`](simnet::obs::Obs)
-//!   (the `Rc`-based instruments are intentionally `!Send`) and returns a
+//! * each chunk runs under its own fresh [`Obs`](simnet::obs::Obs) (the
+//!   `Rc`-based instruments are intentionally `!Send`) and returns a
 //!   [`MetricsSnapshot`]; the coordinator folds the snapshots into the
 //!   ambient registry in chunk order, so same-seed metric totals are
-//!   reproducible too. Structured *events* raised inside workers are
-//!   dropped — sweeps record metrics, not event streams.
+//!   reproducible too. Chunk 0 runs on the calling thread (under the
+//!   same fresh-`Obs` wrapping) while chunks 1.. run on spawned workers,
+//!   so a sweep over `w` workers spawns `w - 1` threads. Structured
+//!   *events* raised inside chunks are dropped — sweeps record metrics,
+//!   not event streams.
 //!
 //! Thread count comes from `ELECTRIFI_THREADS` (a positive integer; `1`
 //! forces the sequential path) or `std::thread::available_parallelism()`.
@@ -31,30 +34,15 @@ use simnet::obs::{self, MetricsSnapshot, Obs};
 /// surface shares).
 pub const THREADS_ENV: &str = simnet::threads::THREADS_ENV;
 
-/// Parse an `ELECTRIFI_THREADS` value: a positive integer worker count.
-/// `0`, empty strings and garbage are rejected with an actionable
-/// message. Thin `String`-error wrapper over
-/// [`simnet::threads::parse_worker_count`] for existing callers; new
-/// code should use the typed helper directly.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    simnet::threads::parse_worker_count(THREADS_ENV, raw).map_err(|e| e.to_string())
-}
-
-/// The worker count configured via `ELECTRIFI_THREADS`: `Ok(None)` when
-/// the variable is unset, `Ok(Some(n))` for a valid value, `Err` with a
-/// clear message for an invalid one.
-pub fn threads_from_env() -> Result<Option<usize>, String> {
-    simnet::threads::worker_count_from_env().map_err(|e| e.to_string())
-}
-
 /// Number of workers a sweep over `n_items` items would use.
 ///
 /// # Panics
-/// Panics with the [`parse_threads`] message when `ELECTRIFI_THREADS` is
-/// set to an invalid value: a misconfigured worker count should stop the
-/// run at the first sweep, not silently change its parallelism.
+/// Panics with the [`simnet::threads::WorkerCountError`] message when
+/// `ELECTRIFI_THREADS` is set to an invalid value: a misconfigured worker
+/// count should stop the run at the first sweep, not silently change its
+/// parallelism.
 pub fn thread_count(n_items: usize) -> usize {
-    let hw = threads_from_env()
+    let hw = simnet::threads::worker_count_from_env()
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -90,43 +78,55 @@ where
         // (including the ambient span collector, if any).
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    // Span collection propagates like metrics do: workers re-enable the
-    // coordinator's configuration on their own thread, return the (Send)
-    // report, and the coordinator absorbs the reports in chunk order.
+    // Span collection propagates like metrics do: every chunk re-enables
+    // the coordinator's configuration under a fresh collector, returns the
+    // (Send) report, and the coordinator absorbs the reports in chunk
+    // order.
     let span_cfg = span::active_config();
     let chunk_len = items.len().div_ceil(workers);
     let f = &f;
-    // Each worker returns (results, metrics, spans) for one contiguous
-    // chunk; chunks are then concatenated and absorbed in index order, so
-    // the thread schedule cannot influence anything observable.
-    let per_chunk: Vec<(Vec<R>, MetricsSnapshot, SpanReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(k, chunk)| {
-                scope.spawn(move || {
-                    let obs = Obs::new();
-                    let work = || {
-                        obs::with_default(obs.clone(), || {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(j, t)| f(k * chunk_len + j, t))
-                                .collect::<Vec<R>>()
-                        })
-                    };
-                    let (results, spans) = match span_cfg {
-                        Some(cfg) => span::scoped(cfg, work),
-                        None => (work(), SpanReport::default()),
-                    };
-                    (results, obs.registry().snapshot(), spans)
-                })
+    // One contiguous chunk under its own fresh Obs (and span collector):
+    // its results, metrics and spans. `with_default` and `scoped` restore
+    // the calling thread's Obs and collector, so chunk 0 runs on the
+    // calling thread exactly as the others run on workers.
+    let run_chunk = move |k: usize, chunk: &[T]| {
+        let obs = Obs::new();
+        let work = || {
+            obs::with_default(obs.clone(), || {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(j, t)| f(k * chunk_len + j, t))
+                    .collect::<Vec<R>>()
             })
+        };
+        let (results, spans) = match span_cfg {
+            Some(cfg) => span::scoped(cfg, work),
+            None => (work(), SpanReport::default()),
+        };
+        (results, obs.registry().snapshot(), spans)
+    };
+    let mut chunks = items.chunks(chunk_len);
+    let first = chunks
+        .next()
+        .expect("a sweep of two or more items has a chunk");
+    // Chunks 1.. run on spawned workers while the calling thread runs
+    // chunk 0; the (results, metrics, spans) triples are then
+    // concatenated and absorbed in chunk order, so the thread schedule
+    // cannot influence anything observable.
+    let per_chunk: Vec<(Vec<R>, MetricsSnapshot, SpanReport)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(k, chunk)| scope.spawn(move || run_chunk(k + 1, chunk)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+        let mut per_chunk = Vec::with_capacity(handles.len() + 1);
+        per_chunk.push(run_chunk(0, first));
+        per_chunk.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep worker panicked")),
+        );
+        per_chunk
     });
     let ambient = obs::current();
     let mut out = Vec::with_capacity(items.len());
@@ -146,7 +146,7 @@ mod tests {
     fn results_are_in_item_order_for_any_worker_count() {
         let items: Vec<u64> = (0..23).collect();
         let seq = par_map_workers(&items, 1, |i, &x| (i as u64) * 1000 + x * x);
-        for workers in [2, 3, 5, 8, 64] {
+        for workers in (2..=8).chain([64]) {
             let par = par_map_workers(&items, workers, |i, &x| (i as u64) * 1000 + x * x);
             assert_eq!(seq, par, "workers={workers}");
         }
@@ -154,28 +154,92 @@ mod tests {
 
     #[test]
     fn worker_metrics_fold_into_ambient_registry() {
-        let obs = Obs::new();
-        let items: Vec<u64> = (0..10).collect();
-        obs::with_default(obs.clone(), || {
-            par_map_workers(&items, 4, |_, &x| {
-                obs::current().registry().counter("sweep.work").add(x);
-                x
+        for workers in 1..=8 {
+            let obs = Obs::new();
+            let items: Vec<u64> = (0..10).collect();
+            obs::with_default(obs.clone(), || {
+                par_map_workers(&items, workers, |_, &x| {
+                    obs::current().registry().counter("sweep.work").add(x);
+                    x
+                });
             });
-        });
-        let snap = obs.registry().snapshot();
-        assert_eq!(snap.counter("sweep.work"), (0..10).sum::<u64>());
+            let snap = obs.registry().snapshot();
+            assert_eq!(
+                snap.counter("sweep.work"),
+                (0..10).sum::<u64>(),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
     fn worker_spans_fold_into_ambient_collector() {
-        let ((), rep) = span::scoped(span::SpanConfig::stats(), || {
-            let items: Vec<u64> = (0..10).collect();
-            par_map_workers(&items, 4, |_, _| {
-                let _g = span::enter("sweep.item");
+        for workers in 1..=8 {
+            let ((), rep) = span::scoped(span::SpanConfig::stats(), || {
+                let items: Vec<u64> = (0..10).collect();
+                par_map_workers(&items, workers, |i, _| {
+                    let _g = span::enter("sweep.item");
+                    if i % 3 == 0 {
+                        let _h = span::enter("sweep.inner");
+                    }
+                });
             });
-        });
-        let stats = rep.get("sweep.item").expect("worker spans absorbed");
-        assert_eq!(stats.count, 10);
+            let count = |name: &str| rep.get(name).map_or(0, |s| s.count);
+            assert_eq!(count("sweep.item"), 10, "workers={workers}");
+            assert_eq!(count("sweep.inner"), 4, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn chunk_zero_runs_on_the_calling_thread_and_restores_its_state() {
+        let caller = std::thread::current().id();
+        for workers in 1..=8 {
+            let obs = Obs::new();
+            let items: Vec<u64> = (0..16).collect();
+            let (ran_here, rep) = obs::with_default(obs.clone(), || {
+                let out = span::scoped(span::SpanConfig::stats(), || {
+                    let _outer = span::enter("sweep.outer");
+                    let ran_here = par_map_workers(&items, workers, |i, _| {
+                        let here = std::thread::current().id() == caller;
+                        if here {
+                            let _g = span::enter("sweep.caller_item");
+                        }
+                        // Chunk 0 counts into its own registry, not the
+                        // caller's, until the sweep absorbs it.
+                        obs::current().registry().counter("sweep.item").inc();
+                        (i, here)
+                    });
+                    // The caller's own collector is back, outer span open.
+                    let _after = span::enter("sweep.after");
+                    ran_here
+                });
+                obs::current().registry().counter("sweep.after").inc();
+                out
+            });
+            let chunk_len = items.len().div_ceil(workers);
+            for (i, here) in ran_here {
+                if i < chunk_len {
+                    assert!(here, "workers={workers}: item {i} left the calling thread");
+                } else {
+                    assert!(
+                        !here,
+                        "workers={workers}: item {i} ran on the calling thread"
+                    );
+                }
+            }
+            let count = |name: &str| rep.get(name).map_or(0, |s| s.count);
+            assert_eq!(
+                count("sweep.caller_item"),
+                chunk_len as u64,
+                "workers={workers}"
+            );
+            assert_eq!(count("sweep.outer"), 1, "workers={workers}");
+            assert_eq!(count("sweep.after"), 1, "workers={workers}");
+            let snap = obs.registry().snapshot();
+            assert_eq!(snap.counter("sweep.item"), 16, "workers={workers}");
+            assert_eq!(snap.counter("sweep.after"), 1, "workers={workers}");
+        }
+        assert!(!span::is_enabled());
     }
 
     #[test]
@@ -200,24 +264,5 @@ mod tests {
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integers() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads(" 8 "), Ok(8));
-        assert_eq!(parse_threads("64"), Ok(64));
-    }
-
-    #[test]
-    fn parse_threads_rejects_zero_and_garbage_with_clear_messages() {
-        let zero = parse_threads("0").unwrap_err();
-        assert!(zero.contains("ELECTRIFI_THREADS"), "{zero}");
-        assert!(zero.contains("positive"), "{zero}");
-        for bad in ["", "  ", "four", "-2", "3.5", "8x"] {
-            let err = parse_threads(bad).unwrap_err();
-            assert!(err.contains("ELECTRIFI_THREADS"), "{bad:?}: {err}");
-            assert!(err.contains("positive integer"), "{bad:?}: {err}");
-        }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Perf smoke: time the PLC spectrum hot path (uncached reference vs the
-# epoch-keyed cache, out/BENCH_channel.json) and the MAC hot loop
+# epoch-keyed cache, out/BENCH_channel.json), the probe loop (PB-error
+# memo vs recompute, out/BENCH_probe.json) and the MAC hot loop
 # (reference vs zero-allocation stepper, out/BENCH_mac.json) — seed,
 # wall clock per path, speedup, cache/idle-skip hit rates. Fast enough
 # to run on every change; pass --criterion to also run the full
@@ -14,6 +15,12 @@ echo "== bench_channel smoke (writes out/BENCH_channel.json) =="
 # gate-quality cold_rebuild_us timings.
 cargo build --release -q -p electrifi-bench --bin bench_channel
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
+
+echo "== bench_probe smoke (writes out/BENCH_probe.json) =="
+# Memo vs recompute-every-frame over one Fig. 17 link; the digest match
+# holds at any window length.
+cargo build --release -q -p electrifi-bench --bin bench_probe
+ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_probe
 
 echo "== bench_mac smoke (writes out/BENCH_mac.json) =="
 # Short windows — fast enough for every change. Run the binary without

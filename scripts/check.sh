@@ -224,12 +224,14 @@ echo "disturbance gate OK: pass campaign=0, fail fixture=5, serve verdict surfac
 
 echo "== bench smoke + perf gate (correctness invariants only) =="
 # Tiny windows: exercises the zero-alloc MAC loop, the zero-alloc PHY
-# spectrum hot path, and the bit-identity digests on every change.
+# spectrum hot path, the probe loop's PB-error memo, and the
+# bit-identity digests on every change.
 # Timing ratios are only gated by the full (un-smoked)
 # scripts/perf_gate.sh run.
-cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel
+cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel --bin bench_probe
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
+ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_probe
 ./scripts/perf_gate.sh --smoke
 
 echo "All checks passed."

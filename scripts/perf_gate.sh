@@ -37,6 +37,14 @@
 #     acceptance ceiling, and cold_rebuild_us / warm per-call /
 #     speedup may not regress >20% vs. the committed baseline.
 #
+# It also compares out/BENCH_probe.json (written by `bench_probe`)
+# against scripts/baselines/BENCH_probe.baseline.json:
+#
+#   - the memo and recompute-every-frame arms must fold the same digest
+#     (the per-slot PB-error memo may save work, never change an output);
+#   - full mode only: the memo/reference speedup may not regress >20%
+#     vs. the committed baseline.
+#
 # Ratios (speedup, hit rate) are compared, not absolute steps/sec —
 # absolute throughput varies with the host; ratios are self-normalizing
 # because both arms run on the same machine. Absolute numbers are
@@ -60,6 +68,8 @@ BATCH_REPORT=out/BENCH_batch.json
 BATCH_BASELINE=scripts/baselines/BENCH_batch.baseline.json
 CH_REPORT=out/BENCH_channel.json
 CH_BASELINE=scripts/baselines/BENCH_channel.baseline.json
+PR_REPORT=out/BENCH_probe.json
+PR_BASELINE=scripts/baselines/BENCH_probe.baseline.json
 
 if [[ ! -f "$REPORT" ]]; then
     echo "perf_gate: $REPORT not found — run ./target/release/bench_mac first" >&2
@@ -85,10 +95,19 @@ if [[ ! -f "$CH_BASELINE" ]]; then
     echo "perf_gate: baseline $CH_BASELINE not found" >&2
     exit 1
 fi
+if [[ ! -f "$PR_REPORT" ]]; then
+    echo "perf_gate: $PR_REPORT not found — run ./target/release/bench_probe first" >&2
+    exit 1
+fi
+if [[ ! -f "$PR_BASELINE" ]]; then
+    echo "perf_gate: baseline $PR_BASELINE not found" >&2
+    exit 1
+fi
 
 MODE="$MODE" REPORT="$REPORT" BASELINE="$BASELINE" \
 BATCH_REPORT="$BATCH_REPORT" BATCH_BASELINE="$BATCH_BASELINE" \
-CH_REPORT="$CH_REPORT" CH_BASELINE="$CH_BASELINE" python3 - <<'PY'
+CH_REPORT="$CH_REPORT" CH_BASELINE="$CH_BASELINE" \
+PR_REPORT="$PR_REPORT" PR_BASELINE="$PR_BASELINE" python3 - <<'PY'
 import json, os, sys
 
 mode = os.environ["MODE"]
@@ -104,6 +123,10 @@ with open(os.environ["CH_REPORT"]) as f:
     ch = json.load(f)
 with open(os.environ["CH_BASELINE"]) as f:
     ch_base = json.load(f)
+with open(os.environ["PR_REPORT"]) as f:
+    pr = json.load(f)
+with open(os.environ["PR_BASELINE"]) as f:
+    pr_base = json.load(f)
 
 failures = []
 warnings = []
@@ -163,6 +186,11 @@ check(ch["cold_rebuild"]["rebuilds"]
       == ch["cold_rebuild"]["iters"] * ch["cold_rebuild"]["reps"],
       "channel: rebuild arm did not rebuild on every call — "
       "cold_rebuild_us is not measuring the rebuild path")
+
+# Probe loop: the memo arm must see exactly the frame outcomes of the
+# arm that recomputes the PB error probability on every frame.
+check(pr["digest_match"], "probe: digest mismatch — the PB-error memo "
+      "changed a frame outcome")
 
 if mode == "smoke":
     print(f"perf_gate --smoke: digests match, optimized quiesced windows "
@@ -251,6 +279,15 @@ check(cur >= TOL * ref,
       f"channel: speedup {cur:.1f}x regressed >20% vs baseline {ref:.1f}x")
 print(f"{'channel':>12}: cached/reference speedup {cur:.1f}x "
       f"(baseline {ref:.1f}x)")
+
+# --- probe timing gate ---------------------------------------------------
+cur, ref = pr["speedup"], pr_base["speedup"]
+check(cur >= TOL * ref,
+      f"probe: memo/reference speedup {cur:.2f}x regressed >20% vs "
+      f"baseline {ref:.2f}x")
+print(f"{'probe':>12}: memo/reference speedup {cur:.2f}x (baseline "
+      f"{ref:.2f}x), {pr['memo']['ns_per_frame']:,.0f} ns/frame, memo hit "
+      f"share {pr['memo_hit_share']:.3f}")
 
 # Absolute throughput is host-dependent: warn by default, gate only on
 # request (e.g. pinned CI hardware).

@@ -283,6 +283,25 @@ if rb:
 PY
 fi
 
+# bench_probe: the probe loop with its per-slot PB-error memo vs the
+# same loop recomputing the PB error probability on every frame.
+if [ -f out/BENCH_probe.json ]; then
+  echo "== bench_probe =="
+  python3 - <<'PY'
+import json
+
+with open("out/BENCH_probe.json") as f:
+    b = json.load(f)
+print(f"speedup={b['speedup']:.3g}  memo_hit_share={b['memo_hit_share']:.3g}  "
+      f"digest_match={b['digest_match']}")
+for arm in ("memo", "reference"):
+    a = b[arm]
+    print(f"{arm}: ns_per_frame={a['ns_per_frame']:.4g}  "
+          f"pberr_evals={a['pberr_evals']}  "
+          f"allocs_per_frame={a['allocs_per_frame']:.3g}")
+PY
+fi
+
 # bench_mac also writes out/BENCH_batch.json: the lockstep batch engine
 # (plc_mac::PlcBatch over a simnet time wheel) advancing an ensemble of
 # independent links at widths 1/16/256. Width 1 is today's per-sim chunk
