@@ -15,19 +15,8 @@
 //! * the **idle-skip hit rate** on a mostly-idle probing workload, read
 //!   from the `plc.mac.idle_skips` / `plc.mac.idle_rescans` counters.
 //!
-//! A second report, `out/BENCH_batch.json`, covers the **batched
-//! multi-sim engine** ([`plc_mac::PlcBatch`]): a 256-link ensemble
-//! advanced at batch widths 1/16/256, where width 1 is today's per-sim
-//! pattern (every sim advanced at the experiments' 10 ms chunk cadence,
-//! idle or not) and the wider arms drive lockstep engines over a shared
-//! time wheel. All arms must produce the same digest and the same
-//! canonical step count; the gate requires ≥ 2× wall-clock speedup at
-//! width 256 on the fig16-shaped (mixed probing rates) profile and zero
-//! allocations inside the engine arms' timed windows.
-//!
 //! `scripts/perf_gate.sh` compares this output against the checked-in
-//! baselines in `scripts/baselines/BENCH_mac.baseline.json` and
-//! `scripts/baselines/BENCH_batch.baseline.json`.
+//! baseline in `scripts/baselines/BENCH_mac.baseline.json`.
 //!
 //! Environment:
 //! * `ELECTRIFI_BENCH_SECS` — simulated seconds in the timed window
@@ -36,7 +25,6 @@
 
 use plc_mac::pb::CompletedPacket;
 use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
-use plc_mac::PlcBatch;
 use serde::Serialize;
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
@@ -466,304 +454,6 @@ fn measure_span_overhead(
     }
 }
 
-/// Links in the batched-ensemble profiles.
-const BATCH_SIMS: usize = 256;
-/// Lockstep widths compared; width 1 is the serial per-sim pattern.
-const BATCH_WIDTHS: [usize; 3] = [1, 16, 256];
-/// Probing rate (packets/s) for link `i` of the fig16-shaped ensemble.
-/// The adaptive probing policy (Fig. 16) backs stable links off to rare
-/// probes, so the campaign steady state is a few fast probers over a
-/// long tail of nearly-idle links: per 128 links, one at the paper's
-/// fastest 200 pkt/s, one at 50, two at 10 and the rest at 1.
-fn batch_probe_rate(i: usize) -> f64 {
-    match i % 128 {
-        0 => 200.0,
-        1 => 50.0,
-        2 | 3 => 10.0,
-        _ => 1.0,
-    }
-}
-
-/// One arm of the batched-ensemble comparison.
-#[derive(Debug, Clone, Serialize)]
-struct BatchArm {
-    /// Lockstep width (1 = per-sim chunked round-robin, no engine).
-    batch: usize,
-    /// MAC scheduling steps inside the timed window.
-    steps: u64,
-    /// Wall-clock seconds for the window.
-    wall_s: f64,
-    /// Steps per wall-clock second.
-    steps_per_sec: f64,
-    /// Heap allocations (allocs + reallocs) inside the timed window.
-    allocs_in_window: u64,
-    /// FNV digest over every per-sim observable, folded at each drain
-    /// boundary in sim order — identical across widths by construction.
-    digest: String,
-}
-
-/// One ensemble profile advanced at every width in [`BATCH_WIDTHS`].
-#[derive(Debug, Clone, Serialize)]
-struct BatchProfile {
-    /// Links in the ensemble.
-    sims: usize,
-    /// Simulated seconds in the timed window.
-    window_sim_s: f64,
-    /// `plc.mac.steps` in the engine arms (equal across engine widths;
-    /// the serial arm adds one boundary step per sim per idle chunk,
-    /// which is exactly the overhead the wheel removes).
-    canonical_steps: u64,
-    /// Serial wall-clock over the width-16 arm's.
-    speedup_16_over_1: f64,
-    /// Serial wall-clock over the width-256 arm's (the gated number on
-    /// the fig16-shaped profile).
-    speedup_256_over_1: f64,
-    /// Every arm produced the same digest.
-    digest_match: bool,
-    arms: Vec<BatchArm>,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct BatchReport {
-    name: &'static str,
-    seed: u64,
-    smoke: bool,
-    reps: usize,
-    /// Mixed probing rates, most links mostly idle — the campaign
-    /// ensemble shape and the gated ≥ 2× speedup.
-    fig16_shaped: BatchProfile,
-    /// Every link saturated: no idle time for the wheel to skip, so the
-    /// ratio is structurally ~1× (gated on digest and allocs only).
-    saturated: BatchProfile,
-}
-
-/// One 2-station link for the batched-ensemble profiles, seeded and
-/// phase-staggered per index like the figure experiments' link sims.
-fn build_batch_link(i: usize, pattern: TrafficPattern) -> PlcSim {
-    let mut g = Grid::new();
-    let j = g.add_junction("j0");
-    let oa = g.add_outlet("a");
-    let ob = g.add_outlet("b");
-    g.connect(j, oa, 2.0 + (i % 7) as f64);
-    g.connect(j, ob, 5.0 + (i % 11) as f64);
-    let cfg = SimConfig {
-        seed: SEED ^ 0x00F1_6000 ^ i as u64,
-        ..SimConfig::default()
-    };
-    let mut sim = PlcSim::new(cfg, &g, &[(0, oa), (1, ob)]);
-    sim.add_flow(Flow::unicast(
-        0,
-        1,
-        TrafficSource::new(pattern, Time::from_millis((i as u64 * 7) % 40)),
-    ));
-    sim
-}
-
-fn batch_fig16_sims() -> Vec<PlcSim> {
-    (0..BATCH_SIMS)
-        .map(|i| {
-            build_batch_link(
-                i,
-                TrafficPattern::Cbr {
-                    rate_bps: batch_probe_rate(i) * 1300.0 * 8.0,
-                    pkt_bytes: 1300,
-                },
-            )
-        })
-        .collect()
-}
-
-fn batch_saturated_sims() -> Vec<PlcSim> {
-    (0..BATCH_SIMS)
-        .map(|i| build_batch_link(i, TrafficPattern::Saturated { pkt_bytes: 1500 }))
-        .collect()
-}
-
-/// Drain one sim's window output into the running digest (and clear the
-/// shared buffers). Both arms call this at the same drain boundaries in
-/// the same sim order, so equal simulations fold to equal digests.
-fn fold_outputs(
-    h: &mut u64,
-    sim: &mut PlcSim,
-    delivered: &mut Vec<CompletedPacket>,
-    tx_counts: &mut Vec<u32>,
-) {
-    sim.drain_delivered_into(0, delivered);
-    sim.drain_tx_counts_into(0, tx_counts);
-    for p in delivered.iter() {
-        mix(h, p.seq);
-        mix(h, p.created.as_nanos());
-        mix(h, p.delivered.as_nanos());
-    }
-    for &c in tx_counts.iter() {
-        mix(h, c as u64);
-    }
-    mix(h, sim.now().as_nanos());
-    delivered.clear();
-    tx_counts.clear();
-}
-
-/// Advance one freshly built ensemble through the timed window at the
-/// given width. Width 1 reproduces the callers the engine replaces:
-/// every sim advanced at the experiments' 10 ms chunk cadence whether
-/// it has work or not. Wider arms split the ensemble into lockstep
-/// engines and let the shared wheel skip idle sims. Output is drained
-/// and folded at a 2 s cadence in both shapes.
-fn run_batch_arm(build: &dyn Fn() -> Vec<PlcSim>, batch: usize, window: Duration) -> BatchArm {
-    let obs = Obs::new();
-    obs::with_default(obs.clone(), || {
-        let mut sims = build();
-        let n = sims.len();
-        let warm_end = Time::ZERO + Duration::from_secs(WARMUP_SECS);
-        let mut delivered: Vec<CompletedPacket> = Vec::with_capacity(1 << 16);
-        let mut tx_counts: Vec<u32> = Vec::with_capacity(1 << 16);
-        for sim in &mut sims {
-            sim.run_until(warm_end);
-            sim.set_observe_min_gap(QUIESCE_GAP);
-            sim.set_spectrum_refresh(QUIESCE_GAP);
-            sim.prewarm_spectra();
-            sim.reserve_flow_buffers(1 << 10);
-            sim.drain_delivered_into(0, &mut delivered);
-            sim.drain_tx_counts_into(0, &mut tx_counts);
-        }
-        delivered.clear();
-        tx_counts.clear();
-
-        // Engines are built before the timed window so their one-time
-        // allocations (wheel lanes, due buffer, counters) stay out of
-        // the alloc delta, exactly like sim construction does.
-        enum Exec {
-            Serial(Vec<PlcSim>),
-            Engines(Vec<PlcBatch>),
-        }
-        let mut exec = if batch <= 1 {
-            Exec::Serial(sims)
-        } else {
-            let mut groups = Vec::with_capacity(n.div_ceil(batch));
-            let mut it = sims.into_iter();
-            loop {
-                let g: Vec<PlcSim> = it.by_ref().take(batch).collect();
-                if g.is_empty() {
-                    break;
-                }
-                groups.push(PlcBatch::new(g));
-            }
-            Exec::Engines(groups)
-        };
-
-        let chunk = Duration::from_millis(10);
-        let drain_every = Duration::from_secs(2);
-        let end = warm_end + window;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let m0 = obs.registry().snapshot();
-        let a0 = ALLOC.snapshot();
-        let t0 = std::time::Instant::now();
-        match &mut exec {
-            Exec::Serial(sims) => {
-                let mut t = warm_end;
-                while t < end {
-                    let stop = (t + drain_every).min(end);
-                    while t < stop {
-                        t = (t + chunk).min(stop);
-                        for sim in sims.iter_mut() {
-                            sim.run_until(t);
-                        }
-                    }
-                    for sim in sims.iter_mut() {
-                        fold_outputs(&mut h, sim, &mut delivered, &mut tx_counts);
-                    }
-                }
-            }
-            Exec::Engines(groups) => {
-                let mut t = warm_end;
-                while t < end {
-                    t = (t + drain_every).min(end);
-                    for g in groups.iter_mut() {
-                        g.run_until(t);
-                    }
-                    for g in groups.iter_mut() {
-                        for sim in g.sims_mut() {
-                            fold_outputs(&mut h, sim, &mut delivered, &mut tx_counts);
-                        }
-                    }
-                }
-            }
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let a1 = ALLOC.snapshot();
-        let m1 = obs.registry().snapshot();
-        let steps = m1.counter("plc.mac.steps") - m0.counter("plc.mac.steps");
-        let allocs = a0.delta(&a1).events();
-        BatchArm {
-            batch,
-            steps,
-            wall_s,
-            steps_per_sec: steps as f64 / wall_s.max(1e-9),
-            allocs_in_window: allocs,
-            digest: format!("{h:016x}"),
-        }
-    })
-}
-
-/// Best-of-`reps` per width (fastest wall-clock; digests must agree
-/// across reps — the ensemble is deterministic).
-fn best_batch_arm(
-    reps: usize,
-    build: &dyn Fn() -> Vec<PlcSim>,
-    batch: usize,
-    window: Duration,
-) -> BatchArm {
-    let mut best: Option<BatchArm> = None;
-    for _ in 0..reps.max(1) {
-        let arm = run_batch_arm(build, batch, window);
-        if let Some(b) = &best {
-            assert_eq!(
-                b.digest, arm.digest,
-                "nondeterministic batch arm across reps"
-            );
-            if arm.wall_s >= b.wall_s {
-                continue;
-            }
-        }
-        best = Some(arm);
-    }
-    best.expect("reps >= 1")
-}
-
-fn batch_profile(reps: usize, build: &dyn Fn() -> Vec<PlcSim>, window: Duration) -> BatchProfile {
-    let arms: Vec<BatchArm> = BATCH_WIDTHS
-        .iter()
-        .map(|&b| best_batch_arm(reps, build, b, window))
-        .collect();
-    let digest_match = arms.iter().all(|a| a.digest == arms[0].digest);
-    assert_eq!(
-        arms[1].steps, arms[2].steps,
-        "engine step counts diverged across widths"
-    );
-    BatchProfile {
-        sims: BATCH_SIMS,
-        window_sim_s: window.as_secs_f64(),
-        canonical_steps: arms[2].steps,
-        speedup_16_over_1: arms[0].wall_s / arms[1].wall_s.max(1e-9),
-        speedup_256_over_1: arms[0].wall_s / arms[2].wall_s.max(1e-9),
-        digest_match,
-        arms,
-    }
-}
-
-fn print_batch_profile(p: &BatchProfile) {
-    for a in &p.arms {
-        eprintln!(
-            "  batch {:>3}: {:>12.0} steps/s | {:>7.3} s wall | {} allocs/window | digest {}",
-            a.batch, a.steps_per_sec, a.wall_s, a.allocs_in_window, a.digest,
-        );
-    }
-    eprintln!(
-        "  speedup 16/1 {:.2}x | 256/1 {:.2}x | digest match: {}",
-        p.speedup_16_over_1, p.speedup_256_over_1, p.digest_match,
-    );
-}
-
 fn main() {
     let smoke = std::env::var("ELECTRIFI_BENCH_SMOKE").map(|v| v == "1") == Ok(true);
     let secs: f64 = std::env::var("ELECTRIFI_BENCH_SECS")
@@ -847,26 +537,6 @@ fn main() {
         span_overhead.digest_match,
     );
 
-    // Mostly-idle links make even the serial arm fast per sim-second, so
-    // the ensemble window is 4x the per-sim one to keep the timed
-    // region well above timer noise.
-    let ensemble_window = Duration::from_secs_f64(secs * 4.0);
-    eprintln!(
-        "bench_mac: batched ensemble, fig16-shaped ({BATCH_SIMS} links, mixed probing rates), \
-         {} sim-s window...",
-        ensemble_window.as_secs_f64()
-    );
-    let fig16_shaped = batch_profile(reps, &batch_fig16_sims, ensemble_window);
-    print_batch_profile(&fig16_shaped);
-
-    let sat_window = Duration::from_secs_f64((secs / 4.0).max(0.5));
-    eprintln!(
-        "bench_mac: batched ensemble, saturated ({BATCH_SIMS} links), {} sim-s window...",
-        sat_window.as_secs_f64()
-    );
-    let saturated_batch = batch_profile(reps, &batch_saturated_sims, sat_window);
-    print_batch_profile(&saturated_batch);
-
     let report = BenchReport {
         name: "bench_mac",
         seed: SEED,
@@ -878,20 +548,9 @@ fn main() {
         idle,
         span_overhead,
     };
-    let batch_report = BatchReport {
-        name: "bench_batch",
-        seed: SEED,
-        smoke,
-        reps,
-        fig16_shaped,
-        saturated: saturated_batch,
-    };
     let json = serde_json::to_string_pretty(&report).expect("serialize") + "\n";
     std::fs::create_dir_all("out").expect("create out/");
     std::fs::write("out/BENCH_mac.json", &json).expect("write out/BENCH_mac.json");
-    let batch_json = serde_json::to_string_pretty(&batch_report).expect("serialize") + "\n";
-    std::fs::write("out/BENCH_batch.json", &batch_json).expect("write out/BENCH_batch.json");
     println!("{json}");
     eprintln!("wrote out/BENCH_mac.json");
-    eprintln!("wrote out/BENCH_batch.json");
 }

@@ -10,6 +10,10 @@
 //! calls — and a [`Lockstep`] engine advances the whole ensemble
 //! epoch by epoch.
 //!
+//! The campaign runner measures pairs serially (one `measure_plc` per
+//! pair under `sweep::par_map`); this module is kept for the
+//! `perfbench` traced arm, which times both paths per link.
+//!
 //! # Bit-identity
 //!
 //! A task performs **exactly** the call sequence of the serial
@@ -22,8 +26,8 @@
 //! construction, exactly as the serial path binds them — receive the
 //! same per-link contributions and therefore the same totals. The
 //! engine's own `mac.batch.*` counters are quarantined to a detached
-//! registry so campaign records stay byte-identical to serial runs
-//! (execution shape, like worker count, must never leak into
+//! registry so a batched measurement's metrics stay byte-identical to
+//! serial runs (execution shape, like worker count, must never leak into
 //! artifacts); its `mac.batch_epoch` span still lands in
 //! `ELECTRIFI_PROFILE` traces, which are observational by contract.
 //!

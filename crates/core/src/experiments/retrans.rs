@@ -183,7 +183,7 @@ pub fn fig22(env: &PaperEnv, scale: Scale) -> Fig22Result {
         .into_iter()
         .flatten()
         .collect();
-    rows.sort_by(|x, y| x.ble.partial_cmp(&y.ble).expect("finite"));
+    rows.sort_by(|x, y| x.ble.total_cmp(&y.ble));
     let pts: Vec<(f64, f64)> = rows.iter().map(|r| (r.pberr, r.uetx.mean)).collect();
     Fig22Result {
         rho_pberr_uetx: simnet::stats::pearson(&pts),

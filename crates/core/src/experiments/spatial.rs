@@ -314,7 +314,7 @@ pub fn fig6(env: &PaperEnv, scale: Scale) -> Fig6Result {
     .into_iter()
     .flatten()
     .collect();
-    rows.sort_by(|a, b| b.ratio().partial_cmp(&a.ratio()).expect("finite"));
+    rows.sort_by(|a, b| b.ratio().total_cmp(&a.ratio()));
     let above = rows.iter().filter(|r| r.ratio() > 1.5).count();
     Fig6Result {
         frac_above_1_5: above as f64 / rows.len().max(1) as f64,

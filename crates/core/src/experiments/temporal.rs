@@ -294,7 +294,7 @@ pub fn fig11(env: &PaperEnv, scale: Scale) -> Fig11Result {
         .into_iter()
         .flatten()
         .collect();
-    rows.sort_by(|x, y| x.avg_ble.partial_cmp(&y.avg_ble).expect("finite"));
+    rows.sort_by(|x, y| x.avg_ble.total_cmp(&y.avg_ble));
     let alpha_pts: Vec<(f64, f64)> = rows
         .iter()
         .filter(|r| r.alpha_ms.is_finite())

@@ -321,7 +321,7 @@ fn eval_recovery(
 /// clusters, sorted by start.
 fn merge_windows(windows: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut sorted = windows.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("window bounds are finite"));
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut clusters: Vec<(f64, f64)> = Vec::new();
     for (s, e) in sorted {
         match clusters.last_mut() {
@@ -563,5 +563,25 @@ mod tests {
         let a = serde::Serialize::to_value(&evaluate(&specs, &faults, &series, &[], Time::ZERO));
         let b = serde::Serialize::to_value(&evaluate(&specs, &faults, &series, &[], Time::ZERO));
         assert_eq!(serde_json::to_string(&a), serde_json::to_string(&b));
+    }
+
+    #[test]
+    fn nan_inputs_do_not_panic_the_sorts() {
+        use simnet::stats::{spearman, Ecdf};
+        // Quantiles and rank correlation drop NaN samples.
+        let ecdf = Ecdf::new(vec![3.0, f64::NAN, 1.0, 2.0]);
+        assert_eq!(ecdf.len(), 3);
+        assert_eq!(
+            (ecdf.quantile(0.0), ecdf.median(), ecdf.quantile(1.0)),
+            (1.0, 2.0, 3.0)
+        );
+        let rho = spearman(&[(1.0, 1.0), (f64::NAN, 0.0), (2.0, 2.0), (3.0, 3.0)]);
+        assert!((rho.expect("3 finite points") - 1.0).abs() < 1e-12);
+        // A NaN window bound sorts last under the total order and stays
+        // a cluster of its own instead of panicking the merge.
+        let merged = merge_windows(&[(5.0, 6.0), (f64::NAN, 1.0), (1.0, 5.5)]);
+        assert_eq!(merged.len(), 2);
+        assert_eq!(merged[0], (1.0, 6.0));
+        assert!(merged[1].0.is_nan());
     }
 }

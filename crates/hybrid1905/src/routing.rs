@@ -130,7 +130,7 @@ impl Router {
         }
         impl Ord for Entry {
             fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other.0.partial_cmp(&self.0).expect("finite costs")
+                other.0.total_cmp(&self.0)
             }
         }
         let mut best: HashMap<u16, (f64, Option<LinkId>)> = HashMap::new();

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cco;
 pub mod csma;
 pub mod frame;
@@ -43,7 +42,6 @@ pub mod sim;
 pub mod throughput;
 pub mod timing;
 
-pub use batch::PlcBatch;
 pub use csma::BackoffState;
 pub use frame::{Frame, SofDelimiter, SofRecord};
 pub use sim::{Flow, PlcSim, SimConfig, StationId};

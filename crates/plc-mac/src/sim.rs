@@ -853,12 +853,7 @@ impl PlcSim {
         next
     }
 
-    /// One event step toward `end`. Crate-visible so the batch engine
-    /// (`batch.rs`) can slice a run at epoch boundaries: `step(end)`
-    /// depends only on the sim's state and the *final* horizon, so any
-    /// slicing of the `while now < end` loop replays the exact same
-    /// step sequence — the bit-identity the batch stepper is gated on.
-    pub(crate) fn step(&mut self, end: Time) {
+    fn step(&mut self, end: Time) {
         self.metrics.steps.inc();
         self.metrics.events_fired.inc();
         self.now = Self::skip_beacon_region(self.now);
@@ -870,8 +865,8 @@ impl PlcSim {
         // contention can resolve — fast-forward to the blackout's end
         // (or the horizon, whichever is first). Like the idle-advance
         // below, the jump depends only on sim state and the final
-        // horizon, preserving the step-slicing bit-identity the batch
-        // stepper relies on. Arrivals queue up meanwhile and drain on
+        // horizon, so sliced `run_until` calls replay one straight
+        // call exactly. Arrivals queue up meanwhile and drain on
         // the first post-outage step, modelling device buffers riding
         // through the trip.
         if let Some(outage) = &self.cfg.outage {
@@ -1704,8 +1699,7 @@ mod tests {
     fn outage_fast_forward_is_horizon_independent() {
         use electrifi_faults::OutageProfile;
         // Slicing run_until across an outage window must land on the
-        // same state as running straight through (the batch stepper's
-        // bit-identity discipline).
+        // same state as running straight through.
         let mk = || {
             let cfg = SimConfig {
                 outage: Some(OutageProfile {

@@ -42,13 +42,12 @@ pub mod spec;
 pub mod telemetry;
 
 pub use campaign::{
-    execute_run, execute_run_opts, execute_run_with, run_campaign, summarize, validate_scenarios,
-    write_artifacts, CampaignSpec, CampaignSummary, ExecOptions, RunRecord, RunSpec,
+    execute_run, execute_run_opts, run_campaign, summarize, validate_scenarios, write_artifacts,
+    CampaignSpec, CampaignSummary, ExecOptions, RunRecord, RunSpec,
 };
 pub use checkpoint::{
-    load_checkpoint_classified, run_campaign_checkpointed, run_campaign_monitored_opts,
-    write_checkpoint, CampaignOutcome, CheckpointOptions, CheckpointState, CheckpointStats,
-    CHECKPOINT_FILE,
+    load_checkpoint_classified, run_campaign_monitored_opts, write_checkpoint, CampaignOutcome,
+    CheckpointOptions, CheckpointState, CheckpointStats, CHECKPOINT_FILE,
 };
 pub use error::ScenarioError;
 pub use loader::Scenario;

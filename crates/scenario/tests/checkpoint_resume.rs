@@ -4,9 +4,11 @@
 //! different work list must be rejected with a typed error.
 
 use electrifi_scenario::checkpoint::{
-    load_checkpoint, run_campaign_checkpointed, CampaignOutcome, CheckpointOptions, CHECKPOINT_FILE,
+    load_checkpoint, run_campaign_monitored_opts, CampaignOutcome, CheckpointOptions,
+    CHECKPOINT_FILE,
 };
-use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ScenarioError};
+use electrifi_scenario::telemetry::TelemetryOptions;
+use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ExecOptions, ScenarioError};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -57,6 +59,7 @@ fn artifacts(dir: &Path) -> Vec<(String, String)> {
 
 #[test]
 fn resumed_campaign_is_byte_identical_at_every_cut_point() {
+    let quiet = TelemetryOptions::default();
     let spec = spec();
     let total = spec.expand().len();
     assert_eq!(total, 4);
@@ -78,7 +81,8 @@ fn resumed_campaign_is_byte_identical_at_every_cut_point() {
             stop_after: Some(cut),
         };
         let (outcome, stats) =
-            run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("phase 1");
+            run_campaign_monitored_opts(&spec, 1, None, &dir, &opts, &quiet, &ExecOptions)
+                .expect("phase 1");
         match outcome {
             CampaignOutcome::Checkpointed {
                 completed,
@@ -101,7 +105,8 @@ fn resumed_campaign_is_byte_identical_at_every_cut_point() {
             stop_after: None,
         };
         let (outcome, stats) =
-            run_campaign_checkpointed(&spec, 2, None, &dir, &opts).expect("phase 2");
+            run_campaign_monitored_opts(&spec, 2, None, &dir, &opts, &quiet, &ExecOptions)
+                .expect("phase 2");
         let summary = match outcome {
             CampaignOutcome::Complete(s) => *s,
             CampaignOutcome::Checkpointed { .. } => panic!("cut {cut}: expected completion"),
@@ -124,6 +129,7 @@ fn resumed_campaign_is_byte_identical_at_every_cut_point() {
 
 #[test]
 fn periodic_checkpoints_do_not_change_the_summary() {
+    let quiet = TelemetryOptions::default();
     let spec = spec();
     let dir = scratch_dir("periodic");
     // Every run is 2 sim-seconds; a 1-second interval checkpoints after
@@ -134,7 +140,8 @@ fn periodic_checkpoints_do_not_change_the_summary() {
         stop_after: None,
     };
     let (outcome, stats) =
-        run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("periodic run");
+        run_campaign_monitored_opts(&spec, 1, None, &dir, &opts, &quiet, &ExecOptions)
+            .expect("periodic run");
     let summary = match outcome {
         CampaignOutcome::Complete(s) => *s,
         CampaignOutcome::Checkpointed { .. } => panic!("expected completion"),
@@ -150,6 +157,7 @@ fn periodic_checkpoints_do_not_change_the_summary() {
 
 #[test]
 fn checkpoint_for_a_different_work_list_is_rejected() {
+    let quiet = TelemetryOptions::default();
     let spec = spec();
     let dir = scratch_dir("mismatch");
     let opts = CheckpointOptions {
@@ -157,7 +165,8 @@ fn checkpoint_for_a_different_work_list_is_rejected() {
         resume_from: None,
         stop_after: Some(1),
     };
-    run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("checkpoint");
+    run_campaign_monitored_opts(&spec, 1, None, &dir, &opts, &quiet, &ExecOptions)
+        .expect("checkpoint");
 
     // Resuming with a narrower filter changes the work list digest.
     let opts = CheckpointOptions {
@@ -165,7 +174,9 @@ fn checkpoint_for_a_different_work_list_is_rejected() {
         resume_from: Some(dir.clone()),
         stop_after: None,
     };
-    let err = run_campaign_checkpointed(&spec, 1, Some("gen-b"), &dir, &opts).unwrap_err();
+    let err =
+        run_campaign_monitored_opts(&spec, 1, Some("gen-b"), &dir, &opts, &quiet, &ExecOptions)
+            .unwrap_err();
     match err {
         ScenarioError::Invalid { field, message } => {
             assert_eq!(field, "checkpoint");

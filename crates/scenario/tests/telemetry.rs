@@ -5,9 +5,11 @@
 //! tracing are **bit-inert**: artifacts are byte-identical with them on
 //! or off.
 
-use electrifi_scenario::checkpoint::{run_campaign_monitored, CampaignOutcome, CheckpointOptions};
+use electrifi_scenario::checkpoint::{
+    run_campaign_monitored_opts, CampaignOutcome, CheckpointOptions,
+};
 use electrifi_scenario::telemetry::{ProgressSnapshot, RunCompletion, TelemetryOptions};
-use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec};
+use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ExecOptions};
 use simnet::obs::span::{self, SpanConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,8 +84,9 @@ fn progress_heartbeat_ends_consistent_and_follow_has_one_line_per_run() {
     let dir = scratch_dir("beat");
     let opts = telemetry_opts(&dir);
 
+    let ckpt = CheckpointOptions::default();
     let (outcome, _) =
-        run_campaign_monitored(&spec, 2, None, &dir, &CheckpointOptions::default(), &opts)
+        run_campaign_monitored_opts(&spec, 2, None, &dir, &ckpt, &opts, &ExecOptions)
             .expect("campaign");
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
 
@@ -147,8 +150,9 @@ fn telemetry_and_tracing_are_bit_inert() {
     // follow telemetry and trace-mode spans across the worker pool.
     let dir = scratch_dir("inert-obs");
     let opts = telemetry_opts(&dir);
+    let ckpt = CheckpointOptions::default();
     let ((outcome, _), report) = span::scoped(SpanConfig::traced(1), || {
-        run_campaign_monitored(&spec, 2, None, &dir, &CheckpointOptions::default(), &opts)
+        run_campaign_monitored_opts(&spec, 2, None, &dir, &ckpt, &opts, &ExecOptions)
             .expect("observed campaign")
     });
     let summary = match outcome {
@@ -185,7 +189,9 @@ fn kill_and_resume_keeps_progress_accounting_consistent() {
         resume_from: None,
         stop_after: Some(1),
     };
-    let (outcome, _) = run_campaign_monitored(&spec, 1, None, &dir, &ckpt, &opts).expect("phase 1");
+    let (outcome, _) =
+        run_campaign_monitored_opts(&spec, 1, None, &dir, &ckpt, &opts, &ExecOptions)
+            .expect("phase 1");
     assert!(matches!(
         outcome,
         CampaignOutcome::Checkpointed { completed: 1, .. }
@@ -204,7 +210,8 @@ fn kill_and_resume_keeps_progress_accounting_consistent() {
         stop_after: None,
     };
     let (outcome, stats) =
-        run_campaign_monitored(&spec, 2, None, &dir, &ckpt, &opts).expect("phase 2");
+        run_campaign_monitored_opts(&spec, 2, None, &dir, &ckpt, &opts, &ExecOptions)
+            .expect("phase 2");
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
     assert_eq!(stats.resumed_runs, 1);
     let p = read_progress(&dir.join("progress.json"));

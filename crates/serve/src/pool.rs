@@ -293,10 +293,7 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> Shar
             None => Obs::new(),
         };
         let scenario = &job.spec.scenarios[run.scenario_index];
-        let exec = ExecOptions {
-            batch: core.config.batch.max(1),
-        };
-        match execute_run_opts(run, scenario, obs, &exec) {
+        match execute_run_opts(run, scenario, obs, &ExecOptions) {
             Ok(record) => {
                 core.metrics.inc(&core.metrics.workers_runs_executed);
                 publish_line(

@@ -158,7 +158,7 @@ impl Ecdf {
     /// Build from any sample; non-finite values are dropped.
     pub fn new(mut samples: Vec<f64>) -> Self {
         samples.retain(|x| x.is_finite());
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        samples.sort_by(f64::total_cmp);
         Ecdf { sorted: samples }
     }
 
@@ -309,7 +309,7 @@ pub fn spearman(points: &[(f64, f64)]) -> Option<f64> {
     }
     let rank = |vals: Vec<f64>| -> Vec<f64> {
         let mut idx: Vec<usize> = (0..vals.len()).collect();
-        idx.sort_by(|&a, &b| vals[a].partial_cmp(&vals[b]).expect("finite"));
+        idx.sort_by(|&a, &b| vals[a].total_cmp(&vals[b]));
         let mut ranks = vec![0.0; vals.len()];
         let mut i = 0;
         while i < idx.len() {

@@ -15,12 +15,6 @@ use std::fmt;
 /// Environment variable overriding the sweep/campaign worker count.
 pub const THREADS_ENV: &str = "ELECTRIFI_THREADS";
 
-/// Environment variable setting the in-worker sim batch size (see
-/// `campaign --batch` and `serve --batch`). Parsed exactly like
-/// [`THREADS_ENV`]: a positive integer, rejected with a typed error
-/// otherwise.
-pub const BATCH_ENV: &str = "ELECTRIFI_BATCH";
-
 /// What was wrong with a worker-count value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerCountErrorKind {
@@ -93,30 +87,14 @@ pub fn parse_worker_count(source: &str, raw: &str) -> Result<usize, WorkerCountE
     }
 }
 
-/// Read and validate a positive count from the environment variable
-/// `var`: `Ok(None)` when unset, `Ok(Some(n))` for a valid value,
-/// `Err` for a set-but-invalid one. Shared by [`worker_count_from_env`]
-/// and [`batch_from_env`] so every counted knob fails the same way.
-pub fn count_from_env(var: &'static str) -> Result<Option<usize>, WorkerCountError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(v) => parse_worker_count(var, &v).map(Some),
-    }
-}
-
 /// The worker count configured via [`THREADS_ENV`]: `Ok(None)` when the
 /// variable is unset, `Ok(Some(n))` for a valid value, `Err` for a
 /// set-but-invalid one.
 pub fn worker_count_from_env() -> Result<Option<usize>, WorkerCountError> {
-    count_from_env(THREADS_ENV)
-}
-
-/// The sim batch size configured via [`BATCH_ENV`], same contract as
-/// [`worker_count_from_env`]. `0` is rejected (batching cannot be
-/// disabled below one sim per step); unset means "no batching" and is
-/// resolved to 1 by the callers.
-pub fn batch_from_env() -> Result<Option<usize>, WorkerCountError> {
-    count_from_env(BATCH_ENV)
+    match std::env::var(THREADS_ENV) {
+        Err(_) => Ok(None),
+        Ok(v) => parse_worker_count(THREADS_ENV, &v).map(Some),
+    }
 }
 
 #[cfg(test)]
@@ -144,19 +122,6 @@ mod tests {
         assert!(msg.starts_with("--workers"), "{msg}");
         assert!(msg.contains("positive"), "{msg}");
         assert!(!msg.contains(THREADS_ENV), "{msg}");
-    }
-
-    #[test]
-    fn batch_env_shares_the_typed_parser() {
-        // ELECTRIFI_BATCH goes through the very same validation as
-        // ELECTRIFI_THREADS: zero and garbage produce the typed error
-        // naming the batch variable, not an ad-hoc parse.
-        let err = parse_worker_count(BATCH_ENV, "0").unwrap_err();
-        assert_eq!(err.kind, WorkerCountErrorKind::Zero);
-        let msg = err.to_string();
-        assert!(msg.starts_with(BATCH_ENV), "{msg}");
-        let err = parse_worker_count(BATCH_ENV, "lots").unwrap_err();
-        assert_eq!(err.kind, WorkerCountErrorKind::NotANumber);
     }
 
     #[test]

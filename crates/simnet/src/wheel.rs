@@ -1,15 +1,15 @@
-//! Hierarchical time wheel + lockstep batch engine for ensembles of
+//! Hierarchical time wheel + lockstep engine for ensembles of
 //! independent simulations.
 //!
-//! The campaign layer runs hundreds of link-pair measurements per run,
-//! and each one steps alone through its own event queue: N sims means N
-//! private binary heaps and N cold struct traversals per wall-clock
-//! slice. This module replaces that with **one** shared schedule — a
-//! two-level time wheel keyed by *epoch index* — and a
-//! [`Lockstep`] engine that advances every due member through the same
-//! epoch window before touching the next one, so a mostly-idle ensemble
-//! costs one wheel pop per *due* member instead of one heap churn per
-//! member per slice.
+//! Stepping N independent sims one after another means N private event
+//! queues and N cold struct traversals per wall-clock slice. This
+//! module offers **one** shared schedule instead — a two-level time
+//! wheel keyed by *epoch index* — and a [`Lockstep`] engine that
+//! advances every due member through the same epoch window before
+//! touching the next one, so a mostly-idle ensemble costs one wheel pop
+//! per *due* member. Its one caller is the batched probe ensemble
+//! (`electrifi::ensemble`), which the benchmark harness times against
+//! the serial per-pair path.
 //!
 //! Members implement [`LockstepSim`]: the engine only needs to know
 //! *when* a member next has work ([`LockstepSim::wake`]) and how to run
@@ -19,7 +19,7 @@
 //! same `[now, end)` run, just sliced at epoch boundaries. That is what
 //! makes batched execution bit-identical to serial execution: the
 //! slices concatenate to the very same step sequence (see
-//! `plc-mac/src/batch.rs` and DESIGN.md §13 for the invariant).
+//! `core/src/ensemble.rs` and DESIGN.md §13).
 //!
 //! The wheel itself is allocation-free in steady state: intrusive
 //! singly-linked slot lists over a preallocated `next[]` lane, `u64`

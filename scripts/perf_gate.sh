@@ -17,16 +17,6 @@
 #     mode only — an enabled/disabled throughput ratio below 0.95
 #     (spans may cost at most 5% on the gated workload).
 #
-# It also gates out/BENCH_batch.json (the batched multi-sim engine,
-# written by `bench_mac`) against scripts/baselines/BENCH_batch.baseline.json:
-#
-#   - every batch width must fold the same ensemble digest (the lockstep
-#     engine must stay bit-identical to per-sim stepping);
-#   - the engine arms' timed windows must be allocation-free;
-#   - full mode only: the fig16-shaped ensemble must run >= 2x faster at
-#     batch=256 than at batch=1 (the acceptance floor), and may not
-#     regress >20% vs. the committed baseline.
-#
 # It also compares out/BENCH_channel.json (written by `bench_channel`)
 # against scripts/baselines/BENCH_channel.baseline.json:
 #
@@ -64,8 +54,6 @@ fi
 
 REPORT=out/BENCH_mac.json
 BASELINE=scripts/baselines/BENCH_mac.baseline.json
-BATCH_REPORT=out/BENCH_batch.json
-BATCH_BASELINE=scripts/baselines/BENCH_batch.baseline.json
 CH_REPORT=out/BENCH_channel.json
 CH_BASELINE=scripts/baselines/BENCH_channel.baseline.json
 PR_REPORT=out/BENCH_probe.json
@@ -77,14 +65,6 @@ if [[ ! -f "$REPORT" ]]; then
 fi
 if [[ ! -f "$BASELINE" ]]; then
     echo "perf_gate: baseline $BASELINE not found" >&2
-    exit 1
-fi
-if [[ ! -f "$BATCH_REPORT" ]]; then
-    echo "perf_gate: $BATCH_REPORT not found — run ./target/release/bench_mac first" >&2
-    exit 1
-fi
-if [[ ! -f "$BATCH_BASELINE" ]]; then
-    echo "perf_gate: baseline $BATCH_BASELINE not found" >&2
     exit 1
 fi
 if [[ ! -f "$CH_REPORT" ]]; then
@@ -105,7 +85,6 @@ if [[ ! -f "$PR_BASELINE" ]]; then
 fi
 
 MODE="$MODE" REPORT="$REPORT" BASELINE="$BASELINE" \
-BATCH_REPORT="$BATCH_REPORT" BATCH_BASELINE="$BATCH_BASELINE" \
 CH_REPORT="$CH_REPORT" CH_BASELINE="$CH_BASELINE" \
 PR_REPORT="$PR_REPORT" PR_BASELINE="$PR_BASELINE" python3 - <<'PY'
 import json, os, sys
@@ -115,10 +94,6 @@ with open(os.environ["REPORT"]) as f:
     rep = json.load(f)
 with open(os.environ["BASELINE"]) as f:
     base = json.load(f)
-with open(os.environ["BATCH_REPORT"]) as f:
-    bat = json.load(f)
-with open(os.environ["BATCH_BASELINE"]) as f:
-    bat_base = json.load(f)
 with open(os.environ["CH_REPORT"]) as f:
     ch = json.load(f)
 with open(os.environ["CH_BASELINE"]) as f:
@@ -150,19 +125,6 @@ for section in ("mac_loop", "saturated"):
     allocs = rep[section]["optimized"]["allocs_in_window"]
     check(allocs == 0, f"{section}: optimized window performed {allocs} "
           "heap allocation(s); expected zero")
-
-# Batched multi-sim engine: every width of the lockstep engine must fold
-# the same ensemble digest as the serial per-sim arm, and the engine
-# arms' timed windows must never touch the heap. Both hold even in a
-# tiny smoke window, so both modes gate them.
-for section in ("fig16_shaped", "saturated"):
-    check(bat[section]["digest_match"], f"batch {section}: digest mismatch — "
-          "lockstep engine diverged from per-sim stepping")
-    for arm in bat[section]["arms"]:
-        if arm["batch"] > 1:
-            check(arm["allocs_in_window"] == 0,
-                  f"batch {section}: width-{arm['batch']} window performed "
-                  f"{arm['allocs_in_window']} heap allocation(s); expected zero")
 
 # Bit-inertness of span tracing: the stats-mode arm must see the exact
 # observables the untraced arm saw. Gated in both modes — a digest is
@@ -219,26 +181,6 @@ print(f"{'idle':>12}: hit rate {cur:.2f} (baseline {ref:.2f})")
 
 fp = rep["full_profile"]["speedup"]
 print(f"{'full_profile':>12}: speedup {fp:.2f}x (reported, not gated)")
-
-# Batched engine: the acceptance criterion is >= 2x aggregate throughput
-# at batch=256 vs batch=1 on the fig16-shaped (mostly-idle campaign)
-# ensemble, plus no >20% regression vs the committed baseline. The
-# saturated ensemble has no idle time for the wheel to skip, so its
-# ratio is reported but not gated.
-BATCH_FLOOR = 2.0
-cur = bat["fig16_shaped"]["speedup_256_over_1"]
-check(cur >= BATCH_FLOOR,
-      f"batch fig16_shaped: speedup {cur:.2f}x at width 256 below the "
-      f"{BATCH_FLOOR:.1f}x floor")
-ref = bat_base["fig16_shaped"]["speedup_256_over_1"]
-check(cur >= TOL * ref,
-      f"batch fig16_shaped: speedup {cur:.2f}x regressed >20% vs "
-      f"baseline {ref:.2f}x")
-print(f"{'batch':>12}: fig16-shaped 256/1 speedup {cur:.2f}x "
-      f"(floor {BATCH_FLOOR:.1f}x, baseline {ref:.2f}x)")
-sat = bat["saturated"]["speedup_256_over_1"]
-print(f"{'batch':>12}: saturated 256/1 speedup {sat:.2f}x "
-      f"(reported, not gated)")
 
 # Span hot-path budget: stats-mode spans may cost at most 5% of the
 # gated workload's throughput. Ratio of two same-host arms, so it is

@@ -302,40 +302,6 @@ for arm in ("memo", "reference"):
 PY
 fi
 
-# bench_mac also writes out/BENCH_batch.json: the lockstep batch engine
-# (plc_mac::PlcBatch over a simnet time wheel) advancing an ensemble of
-# independent links at widths 1/16/256. Width 1 is today's per-sim chunk
-# loop; wider arms must match its digest bit-for-bit and run allocation
-# free in the timed window.
-if [ -f out/BENCH_batch.json ]; then
-  echo "== bench_batch =="
-  python3 - <<'PY'
-import json
-
-with open("out/BENCH_batch.json") as f:
-    b = json.load(f)
-smoke = "  (SMOKE run: timings not meaningful)" if b.get("smoke") else ""
-print(f"seed={b.get('seed', '?')}  reps={b.get('reps', '?')}{smoke}")
-for name in ("fig16_shaped", "saturated"):
-    p = b.get(name)
-    if not p:
-        continue
-    print(
-        f"{name:>14}: {p['sims']} sims x {p['window_sim_s']:.0f}s"
-        f"  16/1 {p['speedup_16_over_1']:.2f}x"
-        f"  256/1 {p['speedup_256_over_1']:.2f}x"
-        f"  digest_match={p['digest_match']}"
-    )
-    for arm in p.get("arms", []):
-        print(
-            f"{'':>16}batch={arm['batch']:>3}"
-            f"  {arm['steps_per_sec']:>12,.0f} steps/s"
-            f"  wall={arm['wall_s']:.3f}s"
-            f"  allocs/window={arm['allocs_in_window']}"
-        )
-PY
-fi
-
 # --- headline numbers from text dumps ----------------------------------
 # Only figures whose text dump exists get a section: the binaries are
 # run piecemeal, and a missing file is not an error.
