@@ -174,67 +174,130 @@ fn completion_s(delivery: &CombinedDelivery) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
-/// Run Fig. 20: the detailed link plus the 13-link completion-time sweep.
-pub fn fig20(env: &PaperEnv, scale: Scale) -> Fig20Result {
-    let detail = fig20_detail(env, 0, 4, scale);
-    // Scaled file: 600 MB at Paper scale.
-    let file_bytes: u64 = match scale {
+/// The paper's 13 completion-time links (Fig. 20, right panel).
+pub const FIG20_LINKS: [(StationId, StationId); 13] = [
+    (0, 9),
+    (0, 5),
+    (9, 0),
+    (9, 6),
+    (9, 7),
+    (3, 9),
+    (1, 6),
+    (1, 8),
+    (2, 11),
+    (2, 5),
+    (6, 1),
+    (6, 2),
+    (7, 9),
+];
+
+/// Downloaded file size: 600 MB at Paper scale.
+fn fig20_file_bytes(scale: Scale) -> u64 {
+    match scale {
         Scale::Paper => 600_000_000,
         Scale::Quick => 12_000_000,
-    };
+    }
+}
+
+/// Completion-time comparison on one link, or `None` when the link has
+/// no WiFi connectivity (the paper only lists links that have it).
+fn fig20_completion(
+    env: &PaperEnv,
+    a: StationId,
+    b: StationId,
+    scale: Scale,
+) -> Option<CompletionRow> {
+    let file_bytes = fig20_file_bytes(scale);
     let n_packets = (file_bytes / PKT_BYTES as u64) as usize;
     let duration = scale.dur(Duration::from_secs(120), 12);
-    let links: [(StationId, StationId); 13] = [
-        (0, 9),
-        (0, 5),
-        (9, 0),
-        (9, 6),
-        (9, 7),
-        (3, 9),
-        (1, 6),
-        (1, 8),
-        (2, 11),
-        (2, 5),
-        (6, 1),
-        (6, 2),
-        (7, 9),
-    ];
+    let (plc_times, wifi_times, _plc_cap, _wifi_cap) = delivery_timelines(env, a, b, duration);
+    if wifi_times.is_empty() {
+        return None;
+    }
+    // The combiner extrapolates each medium's measured timeline at
+    // its steady-state rate, so the short measured run covers the
+    // whole file.
+    let wifi_rate = mean_rate_mbps(&wifi_times);
+    let wifi_s = file_bytes as f64 * 8.0 / (wifi_rate * 1e6);
+    let strategy = SplitStrategy::capacity_weighted(mean_rate_mbps(&plc_times), wifi_rate);
+    let hybrid = combine_streams(
+        &plc_times,
+        &wifi_times,
+        strategy,
+        n_packets,
+        0xC0C0 ^ ((a as u64) << 8) ^ b as u64,
+    );
+    Some(CompletionRow {
+        link: (a, b),
+        wifi_s,
+        hybrid_s: completion_s(&hybrid),
+    })
+}
+
+/// One item of Fig. 20's sweep: the detail link or one completion link.
+#[derive(Debug, Clone, Copy)]
+enum Fig20Item {
+    Detail(StationId, StationId),
+    Completion(StationId, StationId),
+}
+
+/// What one [`Fig20Item`] measured.
+#[derive(Debug)]
+enum Fig20Part {
+    Detail(Fig20Throughput),
+    Completion(Option<CompletionRow>),
+}
+
+/// The sweep's items: the detail link (paper link 0-4) first, then the
+/// completion links in the paper's order.
+fn fig20_items() -> Vec<Fig20Item> {
+    std::iter::once(Fig20Item::Detail(0, 4))
+        .chain(
+            FIG20_LINKS
+                .iter()
+                .map(|&(a, b)| Fig20Item::Completion(a, b)),
+        )
+        .collect()
+}
+
+fn fig20_item(env: &PaperEnv, item: Fig20Item, scale: Scale) -> Fig20Part {
+    match item {
+        Fig20Item::Detail(a, b) => Fig20Part::Detail(fig20_detail(env, a, b, scale)),
+        Fig20Item::Completion(a, b) => Fig20Part::Completion(fig20_completion(env, a, b, scale)),
+    }
+}
+
+/// Assemble the sweep's parts, in item order, into the figure.
+fn fig20_assemble(parts: Vec<Fig20Part>, scale: Scale) -> Fig20Result {
+    let mut detail = None;
     let mut completions = Vec::new();
-    for (a, b) in links {
-        let (plc_times, wifi_times, _plc_cap, _wifi_cap) = delivery_timelines(env, a, b, duration);
-        if wifi_times.is_empty() {
-            continue; // the paper only lists links with WiFi connectivity
+    for part in parts {
+        match part {
+            Fig20Part::Detail(d) => detail = Some(d),
+            Fig20Part::Completion(row) => completions.extend(row),
         }
-        // The combiner extrapolates each medium's measured timeline at
-        // its steady-state rate, so the short measured run covers the
-        // whole file.
-        let wifi_rate = mean_rate_mbps(&wifi_times);
-        let wifi_s = file_bytes as f64 * 8.0 / (wifi_rate * 1e6);
-        let strategy = SplitStrategy::capacity_weighted(mean_rate_mbps(&plc_times), wifi_rate);
-        let hybrid = combine_streams(
-            &plc_times,
-            &wifi_times,
-            strategy,
-            n_packets,
-            0xC0C0 ^ ((a as u64) << 8) ^ b as u64,
-        );
-        completions.push(CompletionRow {
-            link: (a, b),
-            wifi_s,
-            hybrid_s: completion_s(&hybrid),
-        });
     }
     Fig20Result {
-        detail,
+        detail: detail.expect("the sweep has a detail item"),
         completions,
-        file_bytes,
+        file_bytes: fig20_file_bytes(scale),
     }
+}
+
+/// Run Fig. 20: the detailed link plus the 13-link completion-time sweep.
+///
+/// Every link is an independently seeded pair of simulations, so the
+/// detail link and the 13 completion links fan out as one sweep.
+pub fn fig20(env: &PaperEnv, scale: Scale) -> Fig20Result {
+    let parts =
+        electrifi_testbed::sweep::par_map(&fig20_items(), |_, &item| fig20_item(env, item, scale));
+    fig20_assemble(parts, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PAPER_SEED;
+    use crate::experiments::{json, PAPER_SEED};
 
     #[test]
     fn hybrid_aggregates_and_rr_bottlenecks() {
@@ -253,6 +316,21 @@ mod tests {
             d.round_robin
         );
         assert!(d.hybrid > d.round_robin * 0.95);
+    }
+
+    #[test]
+    fn fig20_sweep_equals_the_serial_item_map() {
+        let env = PaperEnv::new(PAPER_SEED);
+        let items = fig20_items();
+        let run = |workers| {
+            let parts = electrifi_testbed::sweep::par_map_workers(&items, workers, |_, &item| {
+                fig20_item(&env, item, Scale::Quick)
+            });
+            json(&fig20_assemble(parts, Scale::Quick))
+        };
+        let serial = run(1);
+        assert_eq!(run(3), serial);
+        assert_eq!(json(&fig20(&env, Scale::Quick)), serial);
     }
 
     #[test]

@@ -270,18 +270,29 @@ pub fn sensitivity_run(
     } else {
         TrafficSource::probe_150kbps()
     };
-    let _probe_flow = sim.add_flow(Flow::unicast(probe.0, probe.1, probe_source));
-    let _bg_flow = sim.add_flow(Flow::unicast(
+    let probe_flow = sim.add_flow(Flow::unicast(probe.0, probe.1, probe_source));
+    let bg_flow = sim.add_flow(Flow::unicast(
         background.0,
         background.1,
         TrafficSource::new(TrafficPattern::Saturated { pkt_bytes: 1500 }, background_at),
     ));
     let mut ble = Series::new(format!("BLE {}-{}", probe.0, probe.1));
     let mut pberr = Series::new(format!("PBerr {}-{}", probe.0, probe.1));
+    // The trace reads only the estimator. Delivered packets and their tx
+    // counts are output-only, so each step's are drained and dropped
+    // rather than kept: the saturated background flow delivers millions.
+    let mut delivered = Vec::new();
+    let mut tx_counts = Vec::new();
     let step = Duration::from_secs(1);
     let mut t = Time::ZERO + step;
     while t <= Time::ZERO + total {
         sim.run_until(t);
+        for f in [probe_flow, bg_flow] {
+            sim.drain_delivered_into(f, &mut delivered);
+            sim.drain_tx_counts_into(f, &mut tx_counts);
+        }
+        delivered.clear();
+        tx_counts.clear();
         ble.push(t, sim.int6krate(probe.0, probe.1));
         if let Some(p) = sim.ampstat(probe.0, probe.1) {
             pberr.push(t, p);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf smoke: time the PLC spectrum hot path (uncached reference vs the
 # epoch-keyed cache, out/BENCH_channel.json), the probe loop (PB-error
-# memo vs recompute, out/BENCH_probe.json) and the MAC hot loop
+# memo vs recompute, out/BENCH_probe.json), Fig. 20's link sweep (one
+# worker vs the default count, out/BENCH_hybrid.json) and the MAC hot loop
 # (reference vs zero-allocation stepper, out/BENCH_mac.json) — seed,
 # wall clock per path, speedup, cache/idle-skip hit rates. Fast enough
 # to run on every change; pass --criterion to also run the full
@@ -21,6 +22,12 @@ echo "== bench_probe smoke (writes out/BENCH_probe.json) =="
 # holds at any window length.
 cargo build --release -q -p electrifi-bench --bin bench_probe
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_probe
+
+echo "== bench_hybrid smoke (writes out/BENCH_hybrid.json) =="
+# Fig. 20 at quick scale, one worker vs the default worker count; the
+# digest match holds at any scale.
+cargo build --release -q -p electrifi-bench --bin bench_hybrid
+ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_hybrid
 
 echo "== bench_mac smoke (writes out/BENCH_mac.json) =="
 # Short windows — fast enough for every change. Run the binary without

@@ -14,6 +14,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== paper-scale goldens (figure stdout == out/*.txt) =="
+# Each binary's paper-scale stdout must match its committed golden byte
+# for byte. fig20 runs twice: on the sequential sweep path and at the
+# default worker count. Output goes to a temporary directory, so this
+# step never rewrites a golden. fig16's golden (~50 s) is left out of
+# the gate; check it by hand with
+# `./target/release/fig16 | cmp - out/fig16.txt`.
+cargo build --release -q -p electrifi-bench --bin fig09 --bin table3 --bin fig17 \
+    --bin fig18 --bin fig20 --bin fig23 --bin fig24
+GOLDEN_TMP=$(mktemp -d)
+for fig in fig09 table3 fig17 fig18 fig23 fig24; do
+    ELECTRIFI_SCALE=paper ./target/release/$fig > "$GOLDEN_TMP/$fig.txt"
+    cmp "$GOLDEN_TMP/$fig.txt" "out/$fig.txt"
+done
+ELECTRIFI_SCALE=paper ELECTRIFI_THREADS=1 ./target/release/fig20 > "$GOLDEN_TMP/fig20.serial.txt"
+cmp "$GOLDEN_TMP/fig20.serial.txt" out/fig20.txt
+ELECTRIFI_SCALE=paper ./target/release/fig20 > "$GOLDEN_TMP/fig20.txt"
+cmp "$GOLDEN_TMP/fig20.txt" out/fig20.txt
+rm -rf "$GOLDEN_TMP"
+echo "goldens OK: fig09 table3 fig17 fig18 fig20 (1 and default workers) fig23 fig24"
+
 echo "== campaign smoke (2 runs, telemetry + tracing on) =="
 cargo build --release -q -p electrifi-bench --bin campaign
 ./target/release/campaign scenarios/smoke-campaign.json --dry-run
@@ -216,14 +237,16 @@ echo "disturbance gate OK: pass campaign=0, fail fixture=5, serve verdict surfac
 
 echo "== bench smoke + perf gate (correctness invariants only) =="
 # Tiny windows: exercises the zero-alloc MAC loop, the zero-alloc PHY
-# spectrum hot path, the probe loop's PB-error memo, and the
-# bit-identity digests on every change.
+# spectrum hot path, the probe loop's PB-error memo, Fig. 20's parallel
+# link sweep, and the bit-identity digests on every change.
 # Timing ratios are only gated by the full (un-smoked)
 # scripts/perf_gate.sh run.
-cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel --bin bench_probe
+cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel \
+    --bin bench_probe --bin bench_hybrid
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_probe
+ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_hybrid
 ./scripts/perf_gate.sh --smoke
 
 echo "All checks passed."

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Perf-regression gate for the MAC hot loop and the PHY spectrum kernels.
+# Perf-regression gate for the MAC hot loop, the PHY spectrum kernels,
+# the probe loop and Fig. 20's link sweep.
 #
 # Compares out/BENCH_mac.json (written by `bench_mac`) against the
 # checked-in baseline scripts/baselines/BENCH_mac.baseline.json and
@@ -35,6 +36,16 @@
 #   - full mode only: the memo/reference speedup may not regress >20%
 #     vs. the committed baseline.
 #
+# It also compares out/BENCH_hybrid.json (written by `bench_hybrid`)
+# against scripts/baselines/BENCH_hybrid.baseline.json:
+#
+#   - the serial and default-worker arms of Fig. 20 must fold the same
+#     result digest (the parallel link sweep may save time, never change
+#     an output);
+#   - full mode only, when the parallel arm had two or more workers: the
+#     serial/parallel speedup may not regress >20% vs. the committed
+#     baseline.
+#
 # Ratios (speedup, hit rate) are compared, not absolute steps/sec —
 # absolute throughput varies with the host; ratios are self-normalizing
 # because both arms run on the same machine. Absolute numbers are
@@ -58,6 +69,8 @@ CH_REPORT=out/BENCH_channel.json
 CH_BASELINE=scripts/baselines/BENCH_channel.baseline.json
 PR_REPORT=out/BENCH_probe.json
 PR_BASELINE=scripts/baselines/BENCH_probe.baseline.json
+HY_REPORT=out/BENCH_hybrid.json
+HY_BASELINE=scripts/baselines/BENCH_hybrid.baseline.json
 
 if [[ ! -f "$REPORT" ]]; then
     echo "perf_gate: $REPORT not found — run ./target/release/bench_mac first" >&2
@@ -83,10 +96,19 @@ if [[ ! -f "$PR_BASELINE" ]]; then
     echo "perf_gate: baseline $PR_BASELINE not found" >&2
     exit 1
 fi
+if [[ ! -f "$HY_REPORT" ]]; then
+    echo "perf_gate: $HY_REPORT not found — run ./target/release/bench_hybrid first" >&2
+    exit 1
+fi
+if [[ ! -f "$HY_BASELINE" ]]; then
+    echo "perf_gate: baseline $HY_BASELINE not found" >&2
+    exit 1
+fi
 
 MODE="$MODE" REPORT="$REPORT" BASELINE="$BASELINE" \
 CH_REPORT="$CH_REPORT" CH_BASELINE="$CH_BASELINE" \
-PR_REPORT="$PR_REPORT" PR_BASELINE="$PR_BASELINE" python3 - <<'PY'
+PR_REPORT="$PR_REPORT" PR_BASELINE="$PR_BASELINE" \
+HY_REPORT="$HY_REPORT" HY_BASELINE="$HY_BASELINE" python3 - <<'PY'
 import json, os, sys
 
 mode = os.environ["MODE"]
@@ -102,6 +124,10 @@ with open(os.environ["PR_REPORT"]) as f:
     pr = json.load(f)
 with open(os.environ["PR_BASELINE"]) as f:
     pr_base = json.load(f)
+with open(os.environ["HY_REPORT"]) as f:
+    hy = json.load(f)
+with open(os.environ["HY_BASELINE"]) as f:
+    hy_base = json.load(f)
 
 failures = []
 warnings = []
@@ -153,6 +179,11 @@ check(ch["cold_rebuild"]["rebuilds"]
 # arm that recomputes the PB error probability on every frame.
 check(pr["digest_match"], "probe: digest mismatch — the PB-error memo "
       "changed a frame outcome")
+
+# Fig. 20's link sweep: one worker and the default worker count must
+# produce the same result.
+check(hy["digest_match"], "hybrid: digest mismatch — the parallel Fig. 20 "
+      "sweep changed an output")
 
 if mode == "smoke":
     print(f"perf_gate --smoke: digests match, optimized quiesced windows "
@@ -230,6 +261,19 @@ check(cur >= TOL * ref,
 print(f"{'probe':>12}: memo/reference speedup {cur:.2f}x (baseline "
       f"{ref:.2f}x), {pr['memo']['ns_per_frame']:,.0f} ns/frame, memo hit "
       f"share {pr['memo_hit_share']:.3f}")
+
+# --- hybrid sweep timing gate --------------------------------------------
+# With one worker both arms run the same sequential path, so there is no
+# speedup to gate.
+cur, ref = hy["speedup"], hy_base["speedup"]
+if hy["workers"] >= 2:
+    check(cur >= TOL * ref,
+          f"hybrid: serial/parallel speedup {cur:.2f}x regressed >20% vs "
+          f"baseline {ref:.2f}x")
+print(f"{'hybrid':>12}: serial/parallel speedup {cur:.2f}x on "
+      f"{hy['workers']} worker(s) (baseline {ref:.2f}x"
+      f"{'' if hy['workers'] >= 2 else ', not gated'}), "
+      f"{hy['serial']['wall_s']:.2f} s -> {hy['parallel']['wall_s']:.2f} s")
 
 # Absolute throughput is host-dependent: warn by default, gate only on
 # request (e.g. pinned CI hardware).

@@ -302,6 +302,23 @@ for arm in ("memo", "reference"):
 PY
 fi
 
+# bench_hybrid: Fig. 20 with one sweep worker vs the default count.
+if [ -f out/BENCH_hybrid.json ]; then
+  echo "== bench_hybrid =="
+  python3 - <<'PY'
+import json
+
+with open("out/BENCH_hybrid.json") as f:
+    b = json.load(f)
+smoke = "  (SMOKE run: timings not meaningful)" if b.get("smoke") else ""
+print(f"scale={b['scale']}  reps={b['reps']}  workers={b['workers']}"
+      f"  speedup={b['speedup']:.3g}  digest_match={b['digest_match']}{smoke}")
+for arm in ("serial", "parallel"):
+    a = b[arm]
+    print(f"{arm}: wall_s={a['wall_s']:.3f}  digest={a['digest']}")
+PY
+fi
+
 # --- headline numbers from text dumps ----------------------------------
 # Only figures whose text dump exists get a section: the binaries are
 # run piecemeal, and a missing file is not an error.
